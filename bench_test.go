@@ -314,3 +314,23 @@ func BenchmarkSimulatorEventRate(b *testing.B) {
 		b.ReportMetric(float64(res.Events), "events/op")
 	}
 }
+
+// BenchmarkLargeMachineDDWrite measures the simulator on its largest
+// event population: disk-directed I/O with presort writing 8-byte
+// records (one Memget per record) on 64 CPs, 64 IOPs and 64 disks.
+func BenchmarkLargeMachineDDWrite(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		cfg := ddio.DefaultConfig()
+		cfg.FileBytes = ddio.MiB / 2
+		cfg.Method = ddio.DiskDirectedSort
+		cfg.Pattern = "wc"
+		cfg.RecordSize = 8
+		cfg.NCP, cfg.NIOP, cfg.NDisks = 64, 64, 64
+		cfg.Verify = false
+		res, err := ddio.Run(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(float64(res.Events), "events/op")
+	}
+}

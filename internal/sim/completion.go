@@ -81,16 +81,28 @@ func Callback(fn func(now Time)) Completion {
 
 // Arena is a deterministic LIFO free list for per-engine record types:
 // the allocation arena behind pooled messages, operation records, and
-// request records. Get pops the most recently Put record (or allocates
-// a zero one); Put returns a record for reuse. Reuse order is LIFO and
-// the engine is single-threaded, so arena behavior is identical run to
-// run. Callers own generation bumping: bump the record's generation in
-// its release path *before* Put so stale completion tokens mismatch.
+// request records. Get pops the most recently Put record, or carves a
+// zero one from the current slab; Put returns a record for reuse. Reuse
+// order is LIFO and the engine is single-threaded, so arena behavior is
+// identical run to run. Callers own generation bumping: bump the
+// record's generation in its release path *before* Put so stale
+// completion tokens mismatch.
+//
+// Slabs grow geometrically from arenaMinSlab to arenaMaxSlab records, so
+// a run that keeps thousands of records in flight makes one allocation
+// per few hundred records, while a short run pays for a handful.
 type Arena[T any] struct {
 	free []*T
+	slab []T // fresh zero records not yet handed out
+	size int // length of the last slab
 }
 
-// Get returns a pooled record, or a new zero-valued one.
+const (
+	arenaMinSlab = 4
+	arenaMaxSlab = 256
+)
+
+// Get returns a pooled record, or a fresh zero-valued one.
 func (a *Arena[T]) Get() *T {
 	if n := len(a.free); n > 0 {
 		x := a.free[n-1]
@@ -98,7 +110,13 @@ func (a *Arena[T]) Get() *T {
 		a.free = a.free[:n-1]
 		return x
 	}
-	return new(T)
+	if len(a.slab) == 0 {
+		a.size = min(max(2*a.size, arenaMinSlab), arenaMaxSlab)
+		a.slab = make([]T, a.size)
+	}
+	x := &a.slab[0]
+	a.slab = a.slab[1:]
+	return x
 }
 
 // Put returns x to the arena. The caller must have dropped references

@@ -50,7 +50,7 @@ func TestZeroCompletionIsIgnored(t *testing.T) {
 	e := NewEngine()
 	defer e.Close()
 	e.AtCompletion(0, Completion{})
-	if e.Pending() != 0 {
+	if len(e.queue) != 0 {
 		t.Fatalf("zero completion queued an event")
 	}
 	var c Completion
@@ -134,6 +134,53 @@ func TestArenaLIFOAndZeroing(t *testing.T) {
 	}
 	if a.Get() == x {
 		t.Fatal("arena handed out a record twice")
+	}
+}
+
+// TestArenaSlabBoundaries: records carved across several slabs are
+// zero-valued and distinct, and reuse stays LIFO across slab boundaries —
+// the release order alone decides which record Get returns next.
+func TestArenaSlabBoundaries(t *testing.T) {
+	type rec struct{ a, b int64 }
+	var ar Arena[rec]
+	const n = 3*arenaMaxSlab + 7 // spans every slab size
+	recs := make([]*rec, n)
+	seen := make(map[*rec]bool, n)
+	for i := range recs {
+		r := ar.Get()
+		if *r != (rec{}) {
+			t.Fatalf("fresh record %d not zero-valued: %+v", i, *r)
+		}
+		if seen[r] {
+			t.Fatalf("record %d handed out twice", i)
+		}
+		seen[r] = true
+		r.a, r.b = int64(i), -int64(i)
+		recs[i] = r
+	}
+	for i, r := range recs { // writes through one record never reach another
+		if r.a != int64(i) || r.b != -int64(i) {
+			t.Fatalf("record %d overwritten: %+v", i, *r)
+		}
+	}
+	// Release in an order that interleaves slabs; Get must reverse it.
+	order := make([]int, 0, n)
+	for i := 0; i < n; i += 2 {
+		order = append(order, i)
+	}
+	for i := n - 1 - n%2; i > 0; i -= 2 {
+		order = append(order, i)
+	}
+	for _, i := range order {
+		ar.Put(recs[i])
+	}
+	for k := len(order) - 1; k >= 0; k-- {
+		if got := ar.Get(); got != recs[order[k]] {
+			t.Fatalf("reuse %d: got record %d, want %d (LIFO)", len(order)-1-k, got.a, order[k])
+		}
+	}
+	if r := ar.Get(); seen[r] || *r != (rec{}) {
+		t.Fatal("exhausted free list did not yield a fresh zero record")
 	}
 }
 

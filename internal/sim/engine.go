@@ -81,7 +81,7 @@ type event struct {
 // (one operation per handoff instead of two).
 type Engine struct {
 	now      Time
-	queue    evq
+	queue    eventQueue
 	seq      int64
 	xfer     *Proc           // proc to hand the token to after the current event
 	cur      *Proc           // proc currently executing (nil in event context)
@@ -95,17 +95,10 @@ type Engine struct {
 	rec      *trace.Recorder // nil unless event tracing is attached
 }
 
-// NewEngine returns a new engine with the clock at zero, no pending
-// events, and the default (adaptive hybrid) event queue: a binary heap
-// while few events are pending, the calendar queue once the set grows.
-func NewEngine() *Engine { return NewEngineWithQueue(HybridQueue) }
-
-// NewEngineWithQueue returns a new engine using the given event-queue
-// implementation. All kinds fire identical workloads in identical order;
-// the switch exists for A/B benchmarking.
-func NewEngineWithQueue(k QueueKind) *Engine {
+// NewEngine returns a new engine with the clock at zero and no pending
+// events.
+func NewEngine() *Engine {
 	return &Engine{
-		queue:    newQueue(k),
 		rootWake: make(chan struct{}),
 		procs:    make(map[*Proc]struct{}),
 	}
@@ -128,9 +121,6 @@ func (e *Engine) Recorder() *trace.Recorder { return e.rec }
 
 // Events returns the number of events fired so far (diagnostic).
 func (e *Engine) Events() int64 { return e.events }
-
-// Pending reports the number of scheduled, not-yet-fired events.
-func (e *Engine) Pending() int { return e.queue.len() }
 
 // At schedules fn to run at absolute time t. Scheduling in the past
 // (t < Now) is an error and panics: it would silently corrupt causality.
@@ -188,7 +178,7 @@ func (e *Engine) Run() {
 // clock at min(t, time of last event). Events after t remain queued.
 func (e *Engine) RunUntil(t Time) {
 	e.runWhile(func(et Time) bool { return et <= t })
-	if e.now < t && e.queue.len() == 0 {
+	if e.now < t && len(e.queue) == 0 {
 		e.now = t
 	}
 }
@@ -231,7 +221,7 @@ const (
 // common blocking pattern — free of context switches when no other work
 // intervenes.
 func (e *Engine) loop(owner *Proc) tokenState {
-	for e.queue.len() > 0 {
+	for len(e.queue) > 0 {
 		ev := e.queue.pop()
 		if !e.cond(ev.t) {
 			e.queue.push(ev) // same seq: original FIFO position is kept
@@ -324,7 +314,7 @@ func (e *Engine) Close() {
 		return
 	}
 	e.closed = true
-	e.queue.clear()
+	e.queue = nil
 	for p := range e.procs {
 		delete(e.procs, p)
 		e.kill(p)

@@ -10,8 +10,8 @@ func TestEngineStartsAtZero(t *testing.T) {
 	if e.Now() != 0 {
 		t.Fatalf("new engine at %v, want 0", e.Now())
 	}
-	if e.Pending() != 0 {
-		t.Fatalf("new engine has %d pending events", e.Pending())
+	if len(e.queue) != 0 {
+		t.Fatalf("new engine has %d pending events", len(e.queue))
 	}
 }
 
@@ -90,8 +90,8 @@ func TestRunUntilStopsEarly(t *testing.T) {
 	if len(fired) != 2 {
 		t.Fatalf("RunUntil(25) fired %v", fired)
 	}
-	if e.Pending() != 2 {
-		t.Fatalf("RunUntil left %d pending, want 2", e.Pending())
+	if len(e.queue) != 2 {
+		t.Fatalf("RunUntil left %d pending, want 2", len(e.queue))
 	}
 	e.Run()
 	if len(fired) != 4 {
@@ -152,15 +152,15 @@ func TestCloseDiscardsPendingAndKillsProcs(t *testing.T) {
 
 func TestBlockedProcsReportNamesAndStates(t *testing.T) {
 	e := NewEngine()
-	sem := NewSemaphore(e, "gate", 0)
-	e.Go("waiter", func(p *Proc) { sem.Acquire(p, 1) })
+	gate := NewCond(e, "gate")
+	e.Go("waiter", func(p *Proc) { gate.Wait(p) })
 	e.Run()
 	defer e.Close()
 	procs := e.BlockedProcs()
 	if len(procs) != 1 {
 		t.Fatalf("BlockedProcs = %v", procs)
 	}
-	if procs[0] != "waiter [sem gate]" {
+	if procs[0] != "waiter [cond gate]" {
 		t.Fatalf("diagnostic %q", procs[0])
 	}
 }

@@ -8,9 +8,8 @@ type Mailbox struct {
 	eng       *Engine
 	name      string
 	parkLabel string // precomputed park reason (avoids per-wait concat)
-	queue     []any
-	waits     []*Proc
-	puts      int64
+	queue     fifo[any]
+	waits     fifo[*Proc]
 }
 
 // NewMailbox returns an empty mailbox.
@@ -21,42 +20,18 @@ func NewMailbox(e *Engine, name string) *Mailbox {
 // Put appends v and wakes the oldest waiting receiver, if any. It may be
 // called from proc or event context.
 func (m *Mailbox) Put(v any) {
-	m.queue = append(m.queue, v)
-	m.puts++
-	if len(m.waits) > 0 {
-		p := m.waits[0]
-		m.waits = m.waits[1:]
-		m.eng.wake(p)
+	m.queue.push(v)
+	if m.waits.len() > 0 {
+		m.eng.wake(m.waits.pop())
 	}
 }
 
 // Get removes and returns the oldest message, blocking p until one is
 // available.
 func (m *Mailbox) Get(p *Proc) any {
-	for len(m.queue) == 0 {
-		m.waits = append(m.waits, p)
+	for m.queue.len() == 0 {
+		m.waits.push(p)
 		p.park(m.parkLabel)
 	}
-	v := m.queue[0]
-	m.queue[0] = nil
-	m.queue = m.queue[1:]
-	return v
+	return m.queue.pop()
 }
-
-// TryGet removes and returns the oldest message without blocking; ok
-// reports whether a message was available.
-func (m *Mailbox) TryGet() (v any, ok bool) {
-	if len(m.queue) == 0 {
-		return nil, false
-	}
-	v = m.queue[0]
-	m.queue[0] = nil
-	m.queue = m.queue[1:]
-	return v, true
-}
-
-// Len returns the number of queued messages.
-func (m *Mailbox) Len() int { return len(m.queue) }
-
-// Delivered returns the total number of messages ever Put (diagnostic).
-func (m *Mailbox) Delivered() int64 { return m.puts }

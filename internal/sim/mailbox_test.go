@@ -60,21 +60,32 @@ func TestMailboxMultipleWaitersFIFO(t *testing.T) {
 	}
 }
 
-func TestMailboxTryGet(t *testing.T) {
+// TestMailboxDrainResetsQueue: a drained mailbox holds no messages and
+// its queue is back at offset 0 with every slot cleared, so a later burst
+// reuses the same backing array.
+func TestMailboxDrainResetsQueue(t *testing.T) {
 	e := NewEngine()
+	defer e.Close()
 	mb := NewMailbox(e, "m")
-	if _, ok := mb.TryGet(); ok {
-		t.Fatal("TryGet on empty mailbox succeeded")
+	for i := 0; i < 5; i++ {
+		mb.Put(i)
 	}
-	mb.Put(9)
-	v, ok := mb.TryGet()
-	if !ok || v.(int) != 9 {
-		t.Fatalf("TryGet = %v,%v", v, ok)
+	var got []int
+	e.Go("r", func(p *Proc) {
+		for i := 0; i < 5; i++ {
+			got = append(got, mb.Get(p).(int))
+		}
+	})
+	e.Run()
+	if len(got) != 5 || got[0] != 0 || got[4] != 4 {
+		t.Fatalf("received %v", got)
 	}
-	if mb.Len() != 0 {
-		t.Fatalf("Len %d after drain", mb.Len())
+	if mb.queue.len() != 0 || mb.queue.head != 0 {
+		t.Fatalf("drained queue: len %d head %d, want 0/0", mb.queue.len(), mb.queue.head)
 	}
-	if mb.Delivered() != 1 {
-		t.Fatalf("Delivered %d", mb.Delivered())
+	for i, v := range mb.queue.buf[:cap(mb.queue.buf)] {
+		if v != nil {
+			t.Fatalf("slot %d still holds %v after drain", i, v)
+		}
 	}
 }

@@ -75,9 +75,6 @@ func (pp *Pipe) UseFor(p *Proc, d time.Duration) {
 	p.SleepUntil(end)
 }
 
-// FreeAt returns the time at which the pipe next becomes idle.
-func (pp *Pipe) FreeAt() Time { return pp.freeAt }
-
 // Busy returns accumulated busy time.
 func (pp *Pipe) Busy() time.Duration { return pp.busy }
 

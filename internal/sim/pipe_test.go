@@ -39,8 +39,8 @@ func TestPipeReservationsQueueFCFS(t *testing.T) {
 	if s2 != 100 || e2 != 150 {
 		t.Fatalf("second reservation [%v,%v], want [100,150]", s2, e2)
 	}
-	if pp.FreeAt() != 150 {
-		t.Fatalf("FreeAt %v", pp.FreeAt())
+	if pp.freeAt != 150 {
+		t.Fatalf("freeAt %v", pp.freeAt)
 	}
 }
 

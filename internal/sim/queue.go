@@ -1,452 +1,65 @@
 package sim
 
-import (
-	"math/bits"
-	"sort"
-)
-
-// The engine's pending-event set is a priority queue ordered by (t, seq):
-// virtual time first, then insertion sequence, so events scheduled for the
-// same instant fire in FIFO order. Three implementations satisfy evq — a
-// binary min-heap (heapQueue), a Brown-style calendar queue
-// (calendarQueue), and an adaptive hybrid of the two (hybridQueue) — and
-// because the (t, seq) order is a strict total order, all fire identical
-// workloads in identical order. NewEngine uses the hybrid; NewEngineWithQueue
-// selects one explicitly for A/B benchmarking (see
-// TestQueueEquivalenceRandom for the property that pins them together).
-
-// evq is the minimal priority-queue surface the engine needs. push may be
-// called with any t not less than the last popped t (the engine forbids
-// scheduling into the past); pop removes and returns the (t, seq)-minimum
-// event.
-type evq interface {
-	push(ev event)
-	pop() event
-	len() int
-	clear()
-}
-
-// QueueKind selects the engine's event-queue implementation.
-type QueueKind int
-
-// The available event-queue implementations.
-const (
-	// HybridQueue adapts to queue size: a binary heap while few events
-	// are pending (where the calendar ring scan costs ~2x a heap pop)
-	// and the calendar queue once the queue grows (the default).
-	HybridQueue QueueKind = iota
-	// CalendarQueue is a time-bucketed ring with an overflow heap for
-	// far-future events: O(1) expected push/pop at scale.
-	CalendarQueue
-	// HeapQueue is the classic binary min-heap: O(log n) push/pop, kept
-	// for A/B benchmarking against the calendar queue.
-	HeapQueue
-)
-
-func newQueue(k QueueKind) evq {
-	switch k {
-	case HeapQueue:
-		return &heapQueue{}
-	case CalendarQueue:
-		return newCalendarQueue()
-	default:
-		return &hybridQueue{}
-	}
-}
+// eventQueue is the engine's pending-event set: a binary min-heap ordered
+// by (t, seq) — virtual time first, then insertion sequence, so events
+// scheduled for the same instant fire in FIFO order. (t, seq) is a strict
+// total order, so the firing sequence is a pure function of the pushes.
+//
+// The engine's queue is concrete (no interface dispatch per push or pop)
+// and its backing array keeps its capacity across drains, so a run in
+// steady state pushes and pops without allocating. A calendar queue is
+// O(1) per event and beats the heap in microbenchmarks at large pending
+// sets, but end to end its ring resizes cost more than they save
+// (PERF.md pass 7).
+type eventQueue []event
 
 // evLess is the queue's strict total order.
-func evLess(a, b event) bool {
+func evLess(a, b *event) bool {
 	if a.t != b.t {
 		return a.t < b.t
 	}
 	return a.seq < b.seq
 }
 
-// --- binary min-heap ---
-
-// eventQueue is a binary min-heap of events ordered by (t, seq).
-type eventQueue []event
-
-func (q eventQueue) less(i, j int) bool { return evLess(q[i], q[j]) }
-
 func (q *eventQueue) push(ev event) {
 	*q = append(*q, ev)
-	i := len(*q) - 1
+	h := *q
+	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !(*q).less(i, parent) {
+		if !evLess(&h[i], &h[parent]) {
 			break
 		}
-		(*q)[i], (*q)[parent] = (*q)[parent], (*q)[i]
+		h[i], h[parent] = h[parent], h[i]
 		i = parent
 	}
 }
 
+// pop removes and returns the (t, seq)-minimum event. The queue must not
+// be empty.
 func (q *eventQueue) pop() event {
 	h := *q
 	top := h[0]
 	n := len(h) - 1
 	h[0] = h[n]
-	h[n] = event{} // release closure for GC
-	*q = h[:n]
+	h[n] = event{} // release the closure and targets for GC
+	h = h[:n]
+	*q = h
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
+		l := 2*i + 1
 		if l >= n {
 			break
 		}
 		c := l
-		if r < n && h.less(r, l) {
+		if r := l + 1; r < n && evLess(&h[r], &h[l]) {
 			c = r
 		}
-		if !h.less(c, i) {
+		if !evLess(&h[c], &h[i]) {
 			break
 		}
 		h[i], h[c] = h[c], h[i]
 		i = c
 	}
 	return top
-}
-
-// heapQueue adapts eventQueue to the evq interface.
-type heapQueue struct{ q eventQueue }
-
-func (h *heapQueue) push(ev event) { h.q.push(ev) }
-func (h *heapQueue) pop() event    { return h.q.pop() }
-func (h *heapQueue) len() int      { return len(h.q) }
-func (h *heapQueue) clear()        { h.q = nil }
-
-// --- calendar queue ---
-
-// Tuning constants for the calendar queue. Buckets and widths are powers
-// of two so the bucket index is a shift and a mask rather than a divide.
-const (
-	cqMinBuckets = 16 // smallest ring; must be a power of two
-	cqInitShift  = 12 // initial bucket width 2^12 ns ≈ 4 µs
-	cqMaxShift   = 40 // widest bucket ≈ 18 min of virtual time
-	cqSampleMax  = 64 // events sampled to estimate inter-event gaps
-)
-
-// calendarQueue is a bucketed calendar queue (R. Brown, CACM 1988): a
-// ring of time buckets of width 2^shift ns, indexed by bucket(t) =
-// (t >> shift) & mask. Events within one "year" (bucketCount × width) of
-// the current position live in the ring, kept sorted per bucket; events
-// further out wait in an overflow min-heap and migrate into the ring when
-// it drains or is rebuilt. The ring is lazily resized — doubled when
-// overfull, halved when sparse — with the bucket width re-estimated from
-// the observed inter-event gaps, so push and pop stay O(1) expected while
-// preserving the exact (t, seq) FIFO order of the heap.
-type calendarQueue struct {
-	buckets  [][]event
-	mask     int  // len(buckets) - 1
-	shift    uint // bucket width is 1 << shift nanoseconds
-	n        int  // events resident in buckets (overflow excluded)
-	cur      int  // ring index of the bucket holding the current position
-	curTop   Time // exclusive upper time bound of bucket cur
-	lastT    Time // lower bound for every queued event (last pop's time)
-	ovLimit  Time // events at or beyond this time go to the overflow heap
-	overflow eventQueue
-}
-
-func newCalendarQueue() *calendarQueue {
-	cq := &calendarQueue{}
-	cq.rebuild(cqMinBuckets, cqInitShift, 0)
-	return cq
-}
-
-// rebuild installs an empty ring of nb buckets with the given width,
-// anchored so that events in [at, at + year) map directly into it.
-func (cq *calendarQueue) rebuild(nb int, shift uint, at Time) {
-	cq.buckets = make([][]event, nb)
-	cq.mask = nb - 1
-	cq.shift = shift
-	cq.n = 0
-	cq.anchor(at)
-}
-
-// anchor positions the ring's current bucket at time t and refreshes the
-// overflow horizon (one full year past t, window-aligned so a single lap
-// of the ring always covers every resident event). Overflow events that
-// fall inside the refreshed horizon are pulled into the ring, keeping the
-// invariant that every ring event precedes every overflow event.
-func (cq *calendarQueue) anchor(t Time) {
-	w := t >> cq.shift
-	cq.lastT = t
-	cq.cur = int(w) & cq.mask
-	cq.curTop = (w + 1) << cq.shift
-	cq.ovLimit = (w + Time(len(cq.buckets))) << cq.shift
-	cq.drainOverflow()
-}
-
-// drainOverflow moves every overflow event inside the current horizon
-// into the ring.
-func (cq *calendarQueue) drainOverflow() {
-	for len(cq.overflow) > 0 && cq.overflow[0].t < cq.ovLimit {
-		cq.bucketInsert(cq.overflow.pop())
-		cq.n++
-	}
-}
-
-func (cq *calendarQueue) len() int { return cq.n + len(cq.overflow) }
-
-func (cq *calendarQueue) clear() {
-	cq.overflow = nil // before rebuild: anchor would drain it into the ring
-	cq.rebuild(cqMinBuckets, cqInitShift, 0)
-}
-
-func (cq *calendarQueue) push(ev event) {
-	// Note: lastT may only advance through pops. It is a lower bound on
-	// every queued event (the engine never schedules into the past), but
-	// pushes before the first pop can arrive in any time order, so the
-	// anchor must never chase a pushed event forward.
-	if ev.t >= cq.ovLimit {
-		cq.overflow.push(ev)
-		return
-	}
-	cq.bucketInsert(ev)
-	cq.n++
-	if cq.n > 2*len(cq.buckets) {
-		cq.resize(2 * len(cq.buckets))
-	}
-}
-
-// bucketInsert places ev into its ring bucket, keeping the bucket sorted
-// by (t, seq). The common case — events arriving in increasing order —
-// appends; otherwise a binary search finds the insertion point.
-func (cq *calendarQueue) bucketInsert(ev event) {
-	idx := int(ev.t>>cq.shift) & cq.mask
-	s := cq.buckets[idx]
-	if k := len(s); k == 0 || evLess(s[k-1], ev) {
-		cq.buckets[idx] = append(s, ev)
-		return
-	}
-	lo, hi := 0, len(s)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if evLess(ev, s[mid]) {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	s = append(s, event{})
-	copy(s[lo+1:], s[lo:])
-	s[lo] = ev
-	cq.buckets[idx] = s
-}
-
-func (cq *calendarQueue) pop() event {
-	if cq.n == 0 {
-		cq.migrate()
-	}
-	// Walk the ring from the current position. Every resident event is
-	// within one year of lastT, so at most one lap finds the minimum; the
-	// direct search after a full lap is a defensive fallback only. Each
-	// empty-bucket step rolls the year forward one window: the overflow
-	// horizon advances in lockstep and any overflow event that enters it
-	// drops into the ring (almost a year ahead of the scan, so the lap
-	// bound still holds for everything the scan is looking for).
-	width := Time(1) << cq.shift
-	for i := 0; i <= cq.mask; i++ {
-		if b := cq.buckets[cq.cur]; len(b) > 0 && b[0].t < cq.curTop {
-			ev := b[0]
-			copy(b, b[1:])
-			b[len(b)-1] = event{} // release closure for GC
-			cq.buckets[cq.cur] = b[:len(b)-1]
-			cq.n--
-			cq.lastT = ev.t
-			if 4*cq.n < len(cq.buckets) && len(cq.buckets) > cqMinBuckets {
-				cq.resize(len(cq.buckets) / 2)
-			}
-			return ev
-		}
-		cq.cur = (cq.cur + 1) & cq.mask
-		cq.curTop += width
-		cq.ovLimit += width
-		cq.drainOverflow()
-	}
-	return cq.popMin()
-}
-
-// popMin removes the globally minimal resident event by direct search and
-// re-anchors the ring at it. It is the fallback for the (theoretically
-// unreachable) case of a lap that finds nothing.
-func (cq *calendarQueue) popMin() event {
-	best, bestAt := -1, Time(0)
-	var bestSeq int64
-	for i, b := range cq.buckets {
-		if len(b) == 0 {
-			continue
-		}
-		if best < 0 || b[0].t < bestAt || (b[0].t == bestAt && b[0].seq < bestSeq) {
-			best, bestAt, bestSeq = i, b[0].t, b[0].seq
-		}
-	}
-	if best < 0 {
-		panic("sim: pop from empty event queue")
-	}
-	b := cq.buckets[best]
-	ev := b[0]
-	copy(b, b[1:])
-	b[len(b)-1] = event{}
-	cq.buckets[best] = b[:len(b)-1]
-	cq.n--
-	cq.anchor(ev.t)
-	return ev
-}
-
-// migrate refills an empty ring from the overflow heap: the year is
-// re-anchored at the earliest overflow event, which pulls everything
-// within the new year into buckets.
-func (cq *calendarQueue) migrate() {
-	if len(cq.overflow) == 0 {
-		panic("sim: pop from empty event queue")
-	}
-	cq.anchor(cq.overflow[0].t)
-	if cq.n > 2*len(cq.buckets) {
-		cq.resize(2 * len(cq.buckets))
-	}
-}
-
-// resize rebuilds the ring with nb buckets, re-estimating the bucket
-// width from the head of the event distribution and redistributing every
-// queued event (overflow included) between ring and overflow.
-func (cq *calendarQueue) resize(nb int) {
-	all := make([]event, 0, cq.n+len(cq.overflow))
-	for _, b := range cq.buckets {
-		all = append(all, b...)
-	}
-	all = append(all, cq.overflow...)
-	cq.overflow = cq.overflow[:0]
-	sort.Slice(all, func(i, j int) bool { return evLess(all[i], all[j]) })
-
-	// Brown's width rule, simplified: three times the mean gap across the
-	// first cqSampleMax events, so a year comfortably covers the active
-	// head while buckets average ≲1 event.
-	shift := cq.shift
-	if k := len(all); k >= 2 {
-		s := k
-		if s > cqSampleMax {
-			s = cqSampleMax
-		}
-		span := all[s-1].t - all[0].t
-		target := 3 * span / Time(s-1)
-		if target < 1 {
-			target = 1
-		}
-		shift = uint(bits.Len64(uint64(target))) - 1
-		if shift > cqMaxShift {
-			shift = cqMaxShift
-		}
-	}
-
-	at := cq.lastT // never move the anchor backward past engine time
-	cq.buckets = make([][]event, nb)
-	cq.mask = nb - 1
-	cq.shift = shift
-	cq.n = 0
-	cq.anchor(at)
-	for _, ev := range all {
-		if ev.t >= cq.ovLimit {
-			cq.overflow.push(ev)
-		} else {
-			cq.bucketInsert(ev)
-			cq.n++
-		}
-	}
-}
-
-// --- adaptive hybrid ---
-
-// Hysteresis thresholds for the hybrid queue. Below ~100 pending events
-// the calendar ring scan costs about twice a heap pop (BenchmarkQueue),
-// so the hybrid stays on the heap until the queue clearly outgrows that
-// regime and only returns once it has clearly shrunk back; the wide gap
-// between the two marks keeps migrations rare.
-const (
-	hqToCalendar = 128 // heap -> calendar above this many pending events
-	hqToHeap     = 16  // calendar -> heap below this many pending events
-)
-
-// hybridQueue runs on a binary heap while the pending set is small and
-// migrates to the calendar queue when it grows past hqToCalendar (and
-// back when it drains below hqToHeap). A migration drains the source in
-// (t, seq) order and replays it into the target — a strict-total-order
-// replay — so the firing sequence is identical to either implementation
-// alone; TestQueueEquivalenceRandom crosses the thresholds repeatedly to
-// pin that.
-type hybridQueue struct {
-	heap  heapQueue
-	cal   *calendarQueue
-	onCal bool
-	lastT Time // most recent pop's time: lower bound for every future push
-}
-
-func (h *hybridQueue) len() int {
-	if h.onCal {
-		return h.cal.len()
-	}
-	return h.heap.len()
-}
-
-func (h *hybridQueue) clear() {
-	h.heap.clear()
-	if h.cal != nil {
-		h.cal.clear()
-	}
-	h.onCal = false
-	h.lastT = 0
-}
-
-func (h *hybridQueue) push(ev event) {
-	if h.onCal {
-		h.cal.push(ev)
-		return
-	}
-	h.heap.push(ev)
-	if h.heap.len() > hqToCalendar {
-		h.toCalendar()
-	}
-}
-
-func (h *hybridQueue) pop() event {
-	if !h.onCal {
-		ev := h.heap.pop()
-		h.lastT = ev.t
-		return ev
-	}
-	ev := h.cal.pop()
-	h.lastT = ev.t
-	if h.cal.len() < hqToHeap {
-		h.toHeap()
-	}
-	return ev
-}
-
-// toCalendar migrates the pending set heap -> calendar. The fresh ring
-// is anchored at the hybrid's last popped time — a lower bound both for
-// every migrated event and for every future push (the heap minimum is
-// not: the engine may still push between lastT and it) — so nearby
-// events land in buckets rather than all spilling to the overflow heap,
-// and the replay's (t, seq) order makes those inserts take the bucket
-// append fast path.
-func (h *hybridQueue) toCalendar() {
-	if h.cal == nil {
-		h.cal = newCalendarQueue()
-	} else {
-		h.cal.clear()
-	}
-	h.cal.anchor(h.lastT)
-	for h.heap.len() > 0 {
-		h.cal.push(h.heap.pop())
-	}
-	h.onCal = true
-}
-
-// toHeap migrates the pending set calendar -> heap.
-func (h *hybridQueue) toHeap() {
-	for h.cal.len() > 0 {
-		h.heap.push(h.cal.pop())
-	}
-	h.onCal = false
 }

@@ -2,259 +2,124 @@ package sim
 
 import (
 	"math/rand"
+	"sort"
 	"strconv"
 	"testing"
-	"time"
 )
 
-// popAll drains q and returns the (t, seq) sequence.
-func popAll(q evq) []event {
-	var out []event
-	for q.len() > 0 {
-		out = append(out, q.pop())
-	}
-	return out
-}
-
-// TestQueueEquivalenceRandom is the property that pins the calendar queue
-// and the adaptive hybrid to the heap: on randomized interleavings of
-// pushes and pops — with bursts that force ring resizes (and drive the
-// hybrid across both migration thresholds), same-instant ties that
-// exercise the FIFO seq ordering, and far-future events that land in the
-// overflow heap — all implementations produce the identical firing
-// sequence, event for event.
+// TestQueueEquivalenceRandom is the property that pins the heap to the
+// (t, seq) order: on randomized interleavings of pushes and pops — with
+// bursts, same-instant ties that exercise the FIFO seq tie-break, and gaps
+// from zero to far future — every pop returns exactly the minimum of a
+// reference multiset re-sorted with sort.Slice after each push run.
 func TestQueueEquivalenceRandom(t *testing.T) {
-	// Time deltas mix zero (FIFO ties), small (same bucket), medium
-	// (ring laps), and huge (overflow horizon) gaps.
-	deltas := []int64{0, 0, 1, 3, 100, 4096, 65536, 1 << 22, 1 << 34}
+	deltas := []int64{0, 0, 0, 1, 3, 100, 4096, 1 << 22, 1 << 34}
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		heap := &heapQueue{}
-		others := []evq{newCalendarQueue(), &hybridQueue{}}
+		var q eventQueue
+		var ref []event
 		var seq int64
+		sorted := true
 		low := Time(0) // last popped time: pushes may not precede it
-		for op := 0; op < 5000; op++ {
-			for qi, q := range others {
-				if q.len() != heap.len() {
-					t.Fatalf("seed %d op %d queue %d: len %d vs %d", seed, op, qi, q.len(), heap.len())
-				}
+		for op := 0; op < 3000; op++ {
+			if len(q) != len(ref) {
+				t.Fatalf("seed %d op %d: len %d, reference %d", seed, op, len(q), len(ref))
 			}
-			// Bias towards pushes so the queues grow and resize, but keep
-			// popping throughout so cur/lastT advance through the ring.
-			if heap.len() == 0 || rng.Intn(3) > 0 {
+			// Bias towards pushes while the set is small, so it grows
+			// through several array doublings but stays cheap to re-sort.
+			if len(q) == 0 || (len(q) < 512 && rng.Intn(3) > 0) {
 				burst := 1
 				if rng.Intn(20) == 0 {
-					burst = 50 + rng.Intn(200) // trigger grow resizes
+					burst = 50 + rng.Intn(200)
 				}
 				for i := 0; i < burst; i++ {
 					seq++
-					tt := low + Time(deltas[rng.Intn(len(deltas))])
-					ev := event{t: tt, seq: seq}
-					heap.push(ev)
-					for _, q := range others {
-						q.push(ev)
-					}
+					ev := event{t: low + Time(deltas[rng.Intn(len(deltas))]), seq: seq}
+					q.push(ev)
+					ref = append(ref, ev)
 				}
+				sorted = false
 				continue
 			}
-			b := heap.pop()
-			for qi, q := range others {
-				if a := q.pop(); a.t != b.t || a.seq != b.seq {
-					t.Fatalf("seed %d op %d queue %d: pop (%d,%d) vs (%d,%d)", seed, op, qi, a.t, a.seq, b.t, b.seq)
-				}
+			if !sorted {
+				sort.Slice(ref, func(i, j int) bool { return evLess(&ref[i], &ref[j]) })
+				sorted = true
 			}
-			low = b.t
+			got, want := q.pop(), ref[0]
+			ref = ref[1:]
+			if got.t != want.t || got.seq != want.seq {
+				t.Fatalf("seed %d op %d: pop (%d,%d), want (%d,%d)", seed, op, got.t, got.seq, want.t, want.seq)
+			}
+			low = got.t
 		}
-		ha := popAll(heap)
-		for qi, q := range others {
-			qa := popAll(q)
-			if len(qa) != len(ha) {
-				t.Fatalf("seed %d queue %d: drain lengths %d vs %d", seed, qi, len(qa), len(ha))
-			}
-			for i := range qa {
-				if qa[i].t != ha[i].t || qa[i].seq != ha[i].seq {
-					t.Fatalf("seed %d queue %d: drain diverges at %d: (%d,%d) vs (%d,%d)",
-						seed, qi, i, qa[i].t, qa[i].seq, ha[i].t, ha[i].seq)
-				}
+		sort.Slice(ref, func(i, j int) bool { return evLess(&ref[i], &ref[j]) })
+		for i, want := range ref {
+			if got := q.pop(); got.t != want.t || got.seq != want.seq {
+				t.Fatalf("seed %d drain %d: pop (%d,%d), want (%d,%d)", seed, i, got.t, got.seq, want.t, want.seq)
 			}
 		}
 	}
 }
 
 // TestQueueSameInstantFIFO pins the tie-break rule in isolation: many
-// events at one instant fire in push order on both implementations.
+// events at one instant fire in push order.
 func TestQueueSameInstantFIFO(t *testing.T) {
-	for _, k := range []QueueKind{CalendarQueue, HeapQueue, HybridQueue} {
-		q := newQueue(k)
-		for i := 1; i <= 100; i++ {
-			q.push(event{t: 42, seq: int64(i)})
-		}
-		for i := 1; i <= 100; i++ {
-			if ev := q.pop(); ev.seq != int64(i) {
-				t.Fatalf("kind %v: tie %d popped as seq %d", k, i, ev.seq)
-			}
+	var q eventQueue
+	for i := 1; i <= 100; i++ {
+		q.push(event{t: 42, seq: int64(i)})
+	}
+	for i := 1; i <= 100; i++ {
+		if ev := q.pop(); ev.seq != int64(i) {
+			t.Fatalf("tie %d popped as seq %d", i, ev.seq)
 		}
 	}
 }
 
-// TestQueueShrinkAfterDrain exercises the shrink path: grow the ring with
-// a large burst, drain most of it, and check order is still exact.
+// TestQueueShrinkAfterDrain grows the heap with a large burst and drains
+// it: order stays exact, and every vacated slot of the retained backing
+// array is zeroed, so a drained queue pins no closures or targets.
 func TestQueueShrinkAfterDrain(t *testing.T) {
-	cal, heap := newCalendarQueue(), &heapQueue{}
+	var q eventQueue
 	rng := rand.New(rand.NewSource(9))
+	fn := func() {}
 	for i := 1; i <= 3000; i++ {
-		ev := event{t: Time(rng.Int63n(1 << 30)), seq: int64(i)}
-		cal.push(ev)
-		heap.push(ev)
+		q.push(event{t: Time(rng.Int63n(1 << 30)), seq: int64(i), fn: fn})
 	}
-	for cal.len() > 0 {
-		a, b := cal.pop(), heap.pop()
-		if a.t != b.t || a.seq != b.seq {
-			t.Fatalf("diverged: (%d,%d) vs (%d,%d)", a.t, a.seq, b.t, b.seq)
-		}
-	}
-	if heap.len() != 0 {
-		t.Fatal("heap not drained")
-	}
-}
-
-// TestEngineQueueKindsProduceIdenticalRuns runs a small random proc
-// workload — sleepers, a contended semaphore, zero-delay wakes — on one
-// engine per queue kind and requires the full (time, label) firing traces
-// to match. This is the engine-level determinism contract behind the
-// constructor switch: the queue is an implementation detail invisible to
-// any simulation.
-func TestEngineQueueKindsProduceIdenticalRuns(t *testing.T) {
-	trace := func(kind QueueKind) []string {
-		e := NewEngineWithQueue(kind)
-		defer e.Close()
-		var out []string
-		note := func(tag string) {
-			out = append(out, Time(e.Now()).String()+" "+tag)
-		}
-		rng := rand.New(rand.NewSource(31))
-		sem := NewSemaphore(e, "s", 2)
-		for i := 0; i < 40; i++ {
-			tag := string(rune('A' + i%26))
-			d := time.Duration(rng.Int63n(int64(5 * time.Microsecond)))
-			e.Go("p"+tag, func(p *Proc) {
-				p.Sleep(d)
-				sem.Acquire(p, 1)
-				note("acq" + tag)
-				p.Sleep(time.Duration(rng.Int63n(int64(time.Microsecond))))
-				note("rel" + tag)
-				sem.Release(1)
-			})
-			e.After(d/2, func() { note("ev" + tag) })
-		}
-		e.Run()
-		return out
-	}
-	a, b, c := trace(CalendarQueue), trace(HeapQueue), trace(HybridQueue)
-	if len(a) != len(b) || len(a) != len(c) {
-		t.Fatalf("trace lengths differ: %d vs %d vs %d", len(a), len(b), len(c))
-	}
-	for i := range a {
-		if a[i] != b[i] || a[i] != c[i] {
-			t.Fatalf("traces diverge at %d: %q vs %q vs %q", i, a[i], b[i], c[i])
-		}
-	}
-}
-
-// TestHybridQueueMigrates pins the hybrid's mode transitions: growing
-// past the upper threshold moves the pending set onto the calendar,
-// draining below the lower threshold moves it back, and order is exact
-// throughout.
-func TestHybridQueueMigrates(t *testing.T) {
-	h, ref := &hybridQueue{}, &heapQueue{}
-	rng := rand.New(rand.NewSource(4))
-	var seq int64
-	push := func(n int, low Time) {
-		for i := 0; i < n; i++ {
-			seq++
-			ev := event{t: low + Time(rng.Int63n(1<<30)), seq: seq}
-			h.push(ev)
-			ref.push(ev)
-		}
-	}
-	push(hqToCalendar, 0)
-	if h.onCal {
-		t.Fatalf("on calendar at %d pending (threshold %d)", h.len(), hqToCalendar)
-	}
-	push(1, 0)
-	if !h.onCal {
-		t.Fatalf("still on heap at %d pending (threshold %d)", h.len(), hqToCalendar)
-	}
-	low := Time(0)
-	for h.len() >= hqToHeap {
-		a, b := h.pop(), ref.pop()
-		if a.t != b.t || a.seq != b.seq {
-			t.Fatalf("diverged: (%d,%d) vs (%d,%d)", a.t, a.seq, b.t, b.seq)
-		}
-		low = a.t
-	}
-	if h.onCal {
-		t.Fatalf("still on calendar at %d pending (threshold %d)", h.len(), hqToHeap)
-	}
-	push(300, low) // grow again: a second migration must stay exact
-	for h.len() > 0 {
-		a, b := h.pop(), ref.pop()
-		if a.t != b.t || a.seq != b.seq {
-			t.Fatalf("post-remigration divergence: (%d,%d) vs (%d,%d)", a.t, a.seq, b.t, b.seq)
-		}
-	}
-	if ref.len() != 0 {
-		t.Fatal("reference heap not drained")
-	}
-}
-
-var queueKinds = []struct {
-	name string
-	kind QueueKind
-}{{"calendar", CalendarQueue}, {"heap", HeapQueue}, {"hybrid", HybridQueue}}
-
-// benchmarkQueueHold measures raw push/pop throughput on a hold-model
-// workload (pop one, push one a random distance ahead), which is the
-// steady state the engine presents, at a fixed pending-set size.
-func benchmarkQueueHold(b *testing.B, kind QueueKind, size int) {
-	rng := rand.New(rand.NewSource(1))
-	q := newQueue(kind)
-	var seq int64
-	now := Time(0)
-	for i := 0; i < size; i++ {
-		seq++
-		q.push(event{t: now + Time(rng.Int63n(1<<20)), seq: seq})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	prev := q.pop()
+	for len(q) > 0 {
 		ev := q.pop()
-		now = ev.t
-		seq++
-		q.push(event{t: now + Time(rng.Int63n(1<<20)), seq: seq})
+		if evLess(&ev, &prev) {
+			t.Fatalf("popped (%d,%d) after (%d,%d)", ev.t, ev.seq, prev.t, prev.seq)
+		}
+		prev = ev
 	}
-}
-
-// BenchmarkQueueSmall covers the small-queue regime the hybrid exists
-// for: the hybrid should track the heap here, not the calendar's ring
-// scan (the sizes straddle the hybrid's lower migration threshold).
-func BenchmarkQueueSmall(b *testing.B) {
-	for _, bc := range queueKinds {
-		for _, size := range []int{4, 12, 48} {
-			b.Run(bc.name+"/"+strconv.Itoa(size), func(b *testing.B) {
-				benchmarkQueueHold(b, bc.kind, size)
-			})
+	for i, ev := range q[:cap(q)] {
+		if ev.fn != nil {
+			t.Fatalf("vacated slot %d still holds a closure", i)
 		}
 	}
 }
 
-// BenchmarkQueue measures the queue kinds across the sizes simulation
-// runs actually present (hundreds to thousands pending).
+// BenchmarkQueue measures raw push/pop throughput on a hold-model
+// workload (pop one, push one a random distance ahead) — the steady
+// state the engine presents — at pending-set sizes from a small run to a
+// 64-node machine.
 func BenchmarkQueue(b *testing.B) {
-	for _, bc := range queueKinds {
-		for _, size := range []int{32, 512, 8192} {
-			b.Run(bc.name+"/"+strconv.Itoa(size), func(b *testing.B) {
-				benchmarkQueueHold(b, bc.kind, size)
-			})
-		}
+	for _, size := range []int{4, 32, 512, 8192} {
+		b.Run(strconv.Itoa(size), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			var q eventQueue
+			var seq int64
+			for i := 0; i < size; i++ {
+				seq++
+				q.push(event{t: Time(rng.Int63n(1 << 20)), seq: seq})
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ev := q.pop()
+				seq++
+				q.push(event{t: ev.t + Time(rng.Int63n(1<<20)), seq: seq})
+			}
+		})
 	}
 }

@@ -49,34 +49,6 @@ func TestQuickPipeReservationsDisjoint(t *testing.T) {
 	}
 }
 
-// Property: a semaphore never goes negative and all waiters are served
-// when enough permits are released.
-func TestQuickSemaphoreConservation(t *testing.T) {
-	f := func(requests []uint8) bool {
-		if len(requests) > 50 {
-			requests = requests[:50]
-		}
-		e := NewEngine()
-		sem := NewSemaphore(e, "s", 10)
-		served := 0
-		for _, r := range requests {
-			n := int(r)%3 + 1
-			e.Go("p", func(p *Proc) {
-				sem.Acquire(p, n)
-				p.Sleep(time.Microsecond)
-				served++
-				sem.Release(n)
-			})
-		}
-		e.Run()
-		defer e.Close()
-		return served == len(requests) && sem.Available() == 10
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: derived random streams are stable (same label, same values)
 // and independent of draw order.
 func TestQuickRandStreams(t *testing.T) {

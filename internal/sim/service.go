@@ -27,7 +27,6 @@ type ServicePool struct {
 	idle      []*svcWorker
 	freeW     []*svcWorker // retired workers awaiting reuse (like Engine.free)
 	workers   int          // live workers, busy + idle
-	spawns    int64        // total worker-proc starts (diagnostic)
 }
 
 // svcWorker is one persistent service thread: its proc and the handoff
@@ -70,7 +69,6 @@ func (sp *ServicePool) Submit(item any) {
 		return
 	}
 	sp.workers++
-	sp.spawns++
 	var w *svcWorker
 	if n := len(sp.freeW); n > 0 { // growth reuses retired workers too
 		w = sp.freeW[n-1]
@@ -107,13 +105,3 @@ func (w *svcWorker) main(p *Proc) {
 		p.daemon = false
 	}
 }
-
-// Workers returns the number of live workers, busy or idle (diagnostic).
-func (sp *ServicePool) Workers() int { return sp.workers }
-
-// Idle returns the number of parked idle workers (diagnostic).
-func (sp *ServicePool) Idle() int { return len(sp.idle) }
-
-// Spawns returns how many worker-proc starts the pool ever made; in a
-// steady state it stays put while submissions keep flowing (diagnostic).
-func (sp *ServicePool) Spawns() int64 { return sp.spawns }

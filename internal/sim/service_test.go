@@ -11,8 +11,10 @@ func TestServicePoolReusesWorkers(t *testing.T) {
 	e := NewEngine()
 	defer e.Close()
 	served := 0
+	procs := map[*Proc]bool{}
 	sp := NewServicePool(e, "svc", 2, func(p *Proc, item any) {
 		served += item.(int)
+		procs[p] = true
 		p.Sleep(time.Microsecond)
 	})
 	for i := 0; i < 10; i++ {
@@ -22,8 +24,8 @@ func TestServicePoolReusesWorkers(t *testing.T) {
 	if served != 10 {
 		t.Fatalf("served %d items, want 10", served)
 	}
-	if sp.Spawns() != 1 || sp.Workers() != 1 || sp.Idle() != 1 {
-		t.Fatalf("spawns %d workers %d idle %d, want 1/1/1", sp.Spawns(), sp.Workers(), sp.Idle())
+	if len(procs) != 1 || sp.workers != 1 || len(sp.idle) != 1 {
+		t.Fatalf("procs %d workers %d idle %d, want 1/1/1", len(procs), sp.workers, len(sp.idle))
 	}
 	if e.NumBlocked() != 0 {
 		t.Fatalf("idle worker counted as blocked: %d", e.NumBlocked())
@@ -36,24 +38,26 @@ func TestServicePoolGrowsAndShrinks(t *testing.T) {
 	e := NewEngine()
 	defer e.Close()
 	var starts []Time
+	procs := map[*Proc]bool{}
 	sp := NewServicePool(e, "svc", 1, func(p *Proc, item any) {
 		starts = append(starts, p.Now())
+		procs[p] = true
 		p.Sleep(time.Millisecond)
 	})
 	for i := 0; i < 4; i++ {
 		sp.Submit(i) // all at t=0, each service takes 1ms
 	}
 	e.Run()
-	if sp.Spawns() != 4 {
-		t.Fatalf("spawned %d workers for 4 overlapping items, want 4", sp.Spawns())
+	if len(procs) != 4 {
+		t.Fatalf("served 4 overlapping items on %d procs, want 4", len(procs))
 	}
 	for i, at := range starts {
 		if at != 0 {
 			t.Fatalf("item %d started at %v, want 0 (no queuing behind busy workers)", i, at)
 		}
 	}
-	if sp.Workers() != 1 || sp.Idle() != 1 {
-		t.Fatalf("after drain: workers %d idle %d, want 1/1 (excess retired)", sp.Workers(), sp.Idle())
+	if sp.workers != 1 || len(sp.idle) != 1 {
+		t.Fatalf("after drain: workers %d idle %d, want 1/1 (excess retired)", sp.workers, len(sp.idle))
 	}
 	if len(e.free) != 3 {
 		t.Fatalf("engine free list holds %d procs, want 3 retired workers", len(e.free))

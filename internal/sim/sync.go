@@ -6,69 +6,6 @@ package sim
 // event context and hand wake-ups to the engine as zero-delay events, so
 // execution order stays deterministic.
 
-// Semaphore is a counting semaphore with FIFO waiters.
-type Semaphore struct {
-	eng       *Engine
-	name      string
-	parkLabel string // precomputed park reason (avoids per-wait concat)
-	avail     int
-	waits     []*semWaiter
-}
-
-type semWaiter struct {
-	p *Proc
-	n int
-}
-
-// NewSemaphore returns a semaphore with n initial permits.
-func NewSemaphore(e *Engine, name string, n int) *Semaphore {
-	return &Semaphore{eng: e, name: name, parkLabel: "sem " + name, avail: n}
-}
-
-// Available returns the current number of permits.
-func (s *Semaphore) Available() int { return s.avail }
-
-// Acquire blocks p until n permits are available, then takes them.
-// Waiters are served strictly in arrival order: a large request at the
-// head of the queue blocks later small ones (no barging), which keeps
-// buffer-pool style usage fair.
-func (s *Semaphore) Acquire(p *Proc, n int) {
-	if n <= 0 {
-		return
-	}
-	if len(s.waits) == 0 && s.avail >= n {
-		s.avail -= n
-		return
-	}
-	s.waits = append(s.waits, &semWaiter{p: p, n: n})
-	p.park(s.parkLabel)
-}
-
-// TryAcquire takes n permits if immediately available and no earlier
-// waiter is queued; it reports whether it succeeded.
-func (s *Semaphore) TryAcquire(n int) bool {
-	if n <= 0 {
-		return true
-	}
-	if len(s.waits) == 0 && s.avail >= n {
-		s.avail -= n
-		return true
-	}
-	return false
-}
-
-// Release returns n permits and wakes as many queued waiters as can now
-// be satisfied, in FIFO order.
-func (s *Semaphore) Release(n int) {
-	s.avail += n
-	for len(s.waits) > 0 && s.avail >= s.waits[0].n {
-		w := s.waits[0]
-		s.waits = s.waits[1:]
-		s.avail -= w.n
-		s.eng.wake(w.p)
-	}
-}
-
 // Barrier is a reusable N-party barrier, used by compute processors
 // around collective operations.
 type Barrier struct {
@@ -181,7 +118,7 @@ type Cond struct {
 	eng       *Engine
 	name      string
 	parkLabel string
-	waits     []*Proc
+	waits     fifo[*Proc]
 }
 
 // NewCond returns a new condition variable.
@@ -192,24 +129,20 @@ func NewCond(e *Engine, name string) *Cond {
 // Wait blocks p until Signal or Broadcast wakes it. As with all condition
 // variables, callers must re-check their predicate after waking.
 func (c *Cond) Wait(p *Proc) {
-	c.waits = append(c.waits, p)
+	c.waits.push(p)
 	p.park(c.parkLabel)
 }
 
 // Signal wakes one waiter (FIFO), if any.
 func (c *Cond) Signal() {
-	if len(c.waits) == 0 {
-		return
+	if c.waits.len() > 0 {
+		c.eng.wake(c.waits.pop())
 	}
-	p := c.waits[0]
-	c.waits = c.waits[1:]
-	c.eng.wake(p)
 }
 
 // Broadcast wakes all waiters.
 func (c *Cond) Broadcast() {
-	for _, p := range c.waits {
-		c.eng.wake(p)
+	for c.waits.len() > 0 {
+		c.eng.wake(c.waits.pop())
 	}
-	c.waits = c.waits[:0]
 }

@@ -5,65 +5,6 @@ import (
 	"time"
 )
 
-func TestSemaphoreBasicAcquireRelease(t *testing.T) {
-	e := NewEngine()
-	sem := NewSemaphore(e, "s", 2)
-	var order []int
-	for i := 0; i < 4; i++ {
-		i := i
-		e.Go("p", func(p *Proc) {
-			sem.Acquire(p, 1)
-			order = append(order, i)
-			p.Sleep(time.Millisecond)
-			sem.Release(1)
-		})
-	}
-	e.Run()
-	if len(order) != 4 {
-		t.Fatalf("only %d acquisitions", len(order))
-	}
-	if e.Now() != Time(2*time.Millisecond) {
-		t.Fatalf("4 holders of 2 permits for 1ms each took %v, want 2ms", e.Now())
-	}
-}
-
-func TestSemaphoreFIFONoBarging(t *testing.T) {
-	e := NewEngine()
-	sem := NewSemaphore(e, "s", 2)
-	var got []string
-	e.Go("setup", func(p *Proc) {
-		sem.Acquire(p, 2)
-		// big waits first; small arrives later but must not barge.
-		e.Go("big", func(b *Proc) { sem.Acquire(b, 2); got = append(got, "big") })
-		e.Go("small", func(s *Proc) { sem.Acquire(s, 1); got = append(got, "small") })
-		p.Sleep(time.Millisecond)
-		sem.Release(2)
-	})
-	e.Run()
-	defer e.Close()
-	if len(got) == 0 || got[0] != "big" {
-		t.Fatalf("service order %v, want big first", got)
-	}
-}
-
-func TestSemaphoreTryAcquire(t *testing.T) {
-	e := NewEngine()
-	sem := NewSemaphore(e, "s", 1)
-	if !sem.TryAcquire(1) {
-		t.Fatal("TryAcquire failed with permit available")
-	}
-	if sem.TryAcquire(1) {
-		t.Fatal("TryAcquire succeeded with no permits")
-	}
-	sem.Release(1)
-	if sem.Available() != 1 {
-		t.Fatalf("Available = %d", sem.Available())
-	}
-	if !sem.TryAcquire(0) {
-		t.Fatal("zero TryAcquire should always succeed")
-	}
-}
-
 func TestBarrierReleasesAllAndReuses(t *testing.T) {
 	e := NewEngine()
 	b := NewBarrier(e, "b", 3)
