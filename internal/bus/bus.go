@@ -33,8 +33,5 @@ func (b *Bus) TransferTime(n int) time.Duration { return b.pipe.TransferTime(n) 
 // Busy returns the accumulated busy time.
 func (b *Bus) Busy() time.Duration { return b.pipe.Busy() }
 
-// Transfers returns the number of transactions carried.
-func (b *Bus) Transfers() int64 { return b.pipe.Uses() }
-
 // Utilization returns busy time as a fraction of [0, at].
 func (b *Bus) Utilization(at sim.Time) float64 { return b.pipe.Utilization(at) }

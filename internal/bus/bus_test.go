@@ -40,8 +40,8 @@ func TestBusSerializesContenders(t *testing.T) {
 			t.Fatalf("transfer ends %v, want %v", ends, want)
 		}
 	}
-	if b.Transfers() != 3 {
-		t.Fatalf("Transfers = %d", b.Transfers())
+	if b.Busy() != 300*time.Microsecond {
+		t.Fatalf("busy %v, want 300us for three transfers", b.Busy())
 	}
 }
 

@@ -115,9 +115,6 @@ func (d *Disk) SetFaults(f *fault.DiskFaults) { d.faults = f }
 // how many of those were reused from its free list (diagnostic).
 func (d *Disk) PoolStats() (gets, reuses int64) { return d.pool.gets, d.pool.reuses }
 
-// QueueLen returns the number of requests waiting (diagnostic).
-func (d *Disk) QueueLen() int { return len(d.queue) }
-
 // Submit enqueues a request; the server process picks it up according to
 // the disk's scheduler. May be called from proc or event context.
 func (d *Disk) Submit(r *Request) {

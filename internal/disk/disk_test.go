@@ -228,7 +228,7 @@ func TestFlushDrainsQueueAndWriteBehind(t *testing.T) {
 			d.Submit(&Request{Write: true, LBN: b * 16, Count: 16, Data: data})
 		}
 		d.Flush(p)
-		if d.QueueLen() != 0 {
+		if len(d.queue) != 0 {
 			t.Error("queue not drained after Flush")
 		}
 		if d.wb.pendingAt(p.Now()) != 0 {

@@ -12,6 +12,7 @@ import (
 
 	"ddio/internal/fault"
 	"ddio/internal/pfs"
+	"ddio/internal/sim"
 )
 
 // benchStyle returns the BenchmarkSimulatorEventRate configuration —
@@ -214,41 +215,63 @@ func TestFaultExhaustionIsTypedFailure(t *testing.T) {
 
 // TestRunnerIsolatesPanickedCell: one poisoned cell must not take down
 // the sweep — its panic is recovered into a CellPanicError carrying the
-// cell's config and stack, while every other cell's result lands.
+// cell's config and stack, while every other cell's result lands. The
+// panic may come from the cell's own code or from inside a simulated
+// proc, which the kernel re-raises in the engine's Run caller.
 func TestRunnerIsolatesPanickedCell(t *testing.T) {
 	const poisoned = int64(3)
-	orig := runExperiment
-	runExperiment = func(cfg Config) (*Result, error) {
-		if cfg.Seed == poisoned {
-			panic("poisoned cell")
-		}
-		return &Result{Config: cfg, MBps: 1}, nil
-	}
-	defer func() { runExperiment = orig }()
-
-	cfgs := make([]Config, 5)
-	for i := range cfgs {
-		cfgs[i] = DefaultConfig()
-		cfgs[i].Seed = int64(i)
-	}
-	for _, workers := range []int{1, 4} {
-		done := map[int64]bool{}
-		results, err := NewRunner(workers, nil).RunAll(cfgs, func(i int, res *Result) {
-			done[res.Config.Seed] = true
+	// simulate runs one engine whose proc sleeps and then, in the
+	// poisoned cell, panics with a parked peer left for Close to reclaim.
+	simulate := func(poison bool) {
+		e := sim.NewEngine()
+		defer e.Close()
+		gate := sim.NewCond(e, "gate")
+		e.Go("peer", func(p *sim.Proc) { gate.Wait(p) })
+		e.Go("cell", func(p *sim.Proc) {
+			p.Sleep(time.Microsecond)
+			if poison {
+				panic("poisoned cell")
+			}
+			gate.Signal()
 		})
-		if results != nil {
-			t.Errorf("workers=%d: got results despite a panicked cell", workers)
+		e.Run()
+	}
+	orig := runExperiment
+	defer func() { runExperiment = orig }()
+	for _, inProc := range []bool{false, true} {
+		runExperiment = func(cfg Config) (*Result, error) {
+			if inProc {
+				simulate(cfg.Seed == poisoned)
+			} else if cfg.Seed == poisoned {
+				panic("poisoned cell")
+			}
+			return &Result{Config: cfg, MBps: 1}, nil
 		}
-		var cp *CellPanicError
-		if !errors.As(err, &cp) {
-			t.Fatalf("workers=%d: got %v, want a *CellPanicError", workers, err)
-		}
-		if cp.Config.Seed != poisoned || cp.Value != "poisoned cell" || !strings.Contains(cp.Stack, "panic") {
-			t.Errorf("workers=%d: panic error lacks cell identity: seed %d value %v", workers, cp.Config.Seed, cp.Value)
-		}
+
+		cfgs := make([]Config, 5)
 		for i := range cfgs {
-			if s := int64(i); s != poisoned && !done[s] {
-				t.Errorf("workers=%d: healthy cell seed %d never completed", workers, s)
+			cfgs[i] = DefaultConfig()
+			cfgs[i].Seed = int64(i)
+		}
+		for _, workers := range []int{1, 4} {
+			done := map[int64]bool{}
+			results, err := NewRunner(workers, nil).RunAll(cfgs, func(i int, res *Result) {
+				done[res.Config.Seed] = true
+			})
+			if results != nil {
+				t.Errorf("inProc=%v workers=%d: got results despite a panicked cell", inProc, workers)
+			}
+			var cp *CellPanicError
+			if !errors.As(err, &cp) {
+				t.Fatalf("inProc=%v workers=%d: got %v, want a *CellPanicError", inProc, workers, err)
+			}
+			if cp.Config.Seed != poisoned || cp.Value != "poisoned cell" || !strings.Contains(cp.Stack, "panic") {
+				t.Errorf("inProc=%v workers=%d: panic error lacks cell identity: seed %d value %v", inProc, workers, cp.Config.Seed, cp.Value)
+			}
+			for i := range cfgs {
+				if s := int64(i); s != poisoned && !done[s] {
+					t.Errorf("inProc=%v workers=%d: healthy cell seed %d never completed", inProc, workers, s)
+				}
 			}
 		}
 	}

@@ -129,9 +129,6 @@ func wrapDist(a, b, n int) int {
 	return d
 }
 
-// MaxHops returns the torus diameter.
-func (n *Network) MaxHops() int { return n.cfg.Width/2 + n.cfg.Height/2 }
-
 // message is one in-flight transmission, pooled on the network's arena.
 // It is the completion target for its own fabric events: the head-flit
 // arrival (msgHead) and, under fault injection, its retransmissions
@@ -242,16 +239,3 @@ func (n *Network) Messages() int64 { return n.msgs }
 
 // Bytes returns total payload bytes carried.
 func (n *Network) Bytes() int64 { return n.bytes }
-
-// NICUtilization returns the mean utilization of all NIC pipes at time t
-// (diagnostic).
-func (n *Network) NICUtilization(t sim.Time) float64 {
-	if len(n.nics) == 0 || t == 0 {
-		return 0
-	}
-	var u float64
-	for i := range n.nics {
-		u += n.nics[i].in.Utilization(t) + n.nics[i].out.Utilization(t)
-	}
-	return u / float64(2*len(n.nics))
-}

@@ -39,10 +39,11 @@ func TestHopsOnTorus(t *testing.T) {
 // torus diameter.
 func TestQuickHopsSymmetricBounded(t *testing.T) {
 	_, n := newNet(t, 36)
+	diameter := n.cfg.Width/2 + n.cfg.Height/2
 	f := func(a, b uint8) bool {
 		x, y := int(a)%36, int(b)%36
 		h := n.Hops(x, y)
-		return h == n.Hops(y, x) && h >= 0 && h <= n.MaxHops()
+		return h == n.Hops(y, x) && h >= 0 && h <= diameter
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -158,11 +159,16 @@ func TestSendAllocFree(t *testing.T) {
 	}
 }
 
-func TestNICUtilizationDiagnostic(t *testing.T) {
+// TestSendBusiesBothNICs: a message occupies the sender's outbound and
+// the receiver's inbound NIC, and no other.
+func TestSendBusiesBothNICs(t *testing.T) {
 	e, n := newNet(t, 4)
 	n.Send(0, 1, 1<<20, sim.Completion{}, sim.Completion{})
 	e.Run()
-	if u := n.NICUtilization(e.Now()); u <= 0 {
-		t.Fatalf("NIC utilization %v", u)
+	if n.nics[0].out.Busy() <= 0 || n.nics[1].in.Busy() <= 0 {
+		t.Fatalf("send left a NIC idle: out %v, in %v", n.nics[0].out.Busy(), n.nics[1].in.Busy())
+	}
+	if n.nics[0].in.Busy() != 0 || n.nics[1].out.Busy() != 0 || n.nics[2].out.Busy() != 0 {
+		t.Fatal("send charged a NIC it does not cross")
 	}
 }

@@ -2,7 +2,7 @@
 //
 // The kernel plays the role Proteus played in the paper: it advances a
 // virtual clock from event to event and runs simulated "processes"
-// (cooperatively scheduled goroutines) one at a time, so a run is a pure
+// (cooperatively scheduled coroutines) one at a time, so a run is a pure
 // function of its inputs and seeds. Entities that need to block — disk
 // servers, cache handler threads, compute-processor request pumps — are
 // Procs; cheap asynchronous activity (message delivery, DMA deposit) is
@@ -72,36 +72,33 @@ type event struct {
 //
 // The zero value is not usable; create engines with NewEngine.
 //
-// Exactly one goroutine — the Run caller or one proc — executes
-// simulation code at any moment. That goroutine holds the "execution
-// token" and runs the event loop itself; when an event dispatches a proc,
-// the token moves to that proc with a single channel send, and when a
-// proc parks, its goroutine keeps the token and continues the event loop
-// in place. This halves the channel traffic of a hub-and-spoke scheduler
-// (one operation per handoff instead of two).
+// Exactly one coroutine — the Run caller (the hub) or one proc's carrier
+// — executes simulation code at any moment. It holds the "execution
+// token" and fires events itself. When a proc parks, its carrier keeps
+// the token and continues the event loop in place; if the next dispatch
+// is the proc itself it simply carries on, and only a dispatch of
+// another proc makes it yield to the hub, which resumes that proc's
+// carrier. Switches go through iter.Pull's direct coroutine switch, so
+// no channel, futex or cross-thread wake-up is involved.
 type Engine struct {
-	now      Time
-	queue    eventQueue
-	seq      int64
-	xfer     *Proc           // proc to hand the token to after the current event
-	cur      *Proc           // proc currently executing (nil in event context)
-	rootWake chan struct{}   // returns the token to the Run caller when the loop ends
-	cond     func(Time) bool // run-limit predicate for the current Run/RunUntil
-	procs    map[*Proc]struct{}
-	free     []*Proc // dead procs (with parked goroutines) awaiting reuse
-	running  bool
-	closed   bool
-	events   int64           // total events fired, for diagnostics
-	rec      *trace.Recorder // nil unless event tracing is attached
+	now     Time
+	queue   eventQueue
+	seq     int64
+	xfer    *Proc           // proc to hand the token to after the current event
+	cur     *Proc           // proc currently executing (nil in event context)
+	cond    func(Time) bool // run-limit predicate for the current Run/RunUntil
+	procs   map[*Proc]struct{}
+	free    []*Proc // dead procs (their carriers suspended) awaiting reuse
+	running bool
+	closed  bool
+	events  int64           // total events fired, for diagnostics
+	rec     *trace.Recorder // nil unless event tracing is attached
 }
 
 // NewEngine returns a new engine with the clock at zero and no pending
 // events.
 func NewEngine() *Engine {
-	return &Engine{
-		rootWake: make(chan struct{}),
-		procs:    make(map[*Proc]struct{}),
-	}
+	return &Engine{procs: make(map[*Proc]struct{})}
 }
 
 // Now returns the current virtual time.
@@ -189,43 +186,29 @@ func (e *Engine) runWhile(cond func(Time) bool) {
 	}
 	e.running = true
 	e.cond = cond
-	if e.loop(nil) == tokenMoved {
-		// The token moved to a proc; wait for it to come back when the
-		// queue drains or the run limit is reached.
-		<-e.rootWake
+	// The hub: fire events until one dispatches a proc, then resume that
+	// proc's carrier. It yields back the next proc to run — one it
+	// dispatched while firing events in place — or nil once the queue
+	// drains or the run limit is reached. A panic inside a proc reaches
+	// this caller through next.
+	for p := e.loop(); p != nil; p, _ = p.c.next() {
 	}
 	e.cond = nil
 	e.running = false
 }
 
-// tokenState reports where the execution token went when loop returned.
-type tokenState int
-
-const (
-	// tokenDrained: the queue drained or the run limit was reached; the
-	// calling goroutine still holds the token.
-	tokenDrained tokenState = iota
-	// tokenMoved: the token was handed to another proc; the caller must
-	// wait for its own wake-up.
-	tokenMoved
-	// tokenSelf: the owner proc itself was dispatched; it may continue
-	// immediately without any channel operation.
-	tokenSelf
-)
-
-// loop fires events on the calling goroutine until the queue drains, the
-// run condition fails, or an event hands the execution token to a proc.
-// owner is the proc whose goroutine is running the loop (nil for the Run
-// caller): dispatching the owner itself short-circuits without touching
-// any channel, which makes a plain sleep-and-wake — the single most
-// common blocking pattern — free of context switches when no other work
-// intervenes.
-func (e *Engine) loop(owner *Proc) tokenState {
+// loop fires events until the queue drains, the run condition fails, or
+// an event dispatches a proc, and returns that proc (nil if none). The
+// hub and parked or retired procs all run it; a proc that gets itself
+// back continues in place with no switch at all, which makes a plain
+// sleep-and-wake — the single most common blocking pattern — free of
+// context switches when no other work intervenes.
+func (e *Engine) loop() *Proc {
 	for len(e.queue) > 0 {
 		ev := e.queue.pop()
 		if !e.cond(ev.t) {
 			e.queue.push(ev) // same seq: original FIFO position is kept
-			return tokenDrained
+			return nil
 		}
 		e.now = ev.t
 		e.events++
@@ -249,14 +232,10 @@ func (e *Engine) loop(owner *Proc) tokenState {
 		if p := e.xfer; p != nil {
 			e.xfer = nil
 			e.cur = p
-			if p == owner {
-				return tokenSelf
-			}
-			p.resume <- struct{}{}
-			return tokenMoved
+			return p
 		}
 	}
-	return tokenDrained
+	return nil
 }
 
 // dispatch marks p as the next owner of the execution token. It must only
@@ -305,7 +284,7 @@ func (e *Engine) NumBlocked() int {
 	return n
 }
 
-// Close terminates all blocked procs (and the parked goroutines of
+// Close terminates all blocked procs (and the suspended carriers of
 // recycled procs on the free list) and discards pending events. It is
 // safe to call multiple times. After Close the engine rejects new events
 // and new procs. Close must not be called from inside the simulation.
@@ -326,9 +305,14 @@ func (e *Engine) Close() {
 	e.free = nil
 }
 
-// kill shuts down one proc goroutine and waits for it to exit.
+// kill unwinds one proc's body on its carrier and returns the carrier to
+// the process-wide pool. Only a carrier that came back through its
+// release point is pooled: one whose proc panicked has finished (next
+// reports !ok), and one whose unwinding parked again is stuck mid-body.
 func (e *Engine) kill(p *Proc) {
 	p.killed = true
-	close(p.resume)
-	<-p.exited
+	c := p.c
+	if _, ok := c.next(); ok && c.p == nil {
+		putCarrier(c)
+	}
 }

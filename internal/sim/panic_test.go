@@ -3,6 +3,7 @@ package sim
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
 // recoverPanic runs fn and returns the recovered panic rendered as a
@@ -79,5 +80,72 @@ func TestDoubleDispatchPanicNamesBothProcs(t *testing.T) {
 	e.Run()
 	if !strings.Contains(msg, "alpha") || !strings.Contains(msg, "beta") {
 		t.Fatalf("double-dispatch panic %q does not name both procs", msg)
+	}
+}
+
+// TestProcPanicReachesRunCaller: a panic inside a proc body surfaces as
+// a panic of Run with the same value, in the caller's goroutine where it
+// can be recovered. Close still reclaims the parked procs, and the
+// panicked proc's finished carrier is never pooled: a fresh engine that
+// borrows every pooled carrier still runs to completion.
+func TestProcPanicReachesRunCaller(t *testing.T) {
+	e := NewEngine()
+	gate := NewCond(e, "gate")
+	for i := 0; i < 3; i++ {
+		e.Go("parked", func(p *Proc) { gate.Wait(p) })
+	}
+	e.Go("bomb", func(p *Proc) {
+		p.Sleep(time.Microsecond)
+		panic("boom")
+	})
+	got := func() (v any) {
+		defer func() { v = recover() }()
+		e.Run()
+		return nil
+	}()
+	if got != "boom" {
+		t.Fatalf("Run panicked with %v, want the proc's \"boom\"", got)
+	}
+	before := pooledCarriers()
+	e.Close()
+	if n := pooledCarriers() - before; n != 3 {
+		t.Fatalf("Close pooled %d carriers, want 3 (the parked procs, not the panicked one)", n)
+	}
+	if n := e.NumBlocked(); n != 0 {
+		t.Fatalf("NumBlocked = %d after Close", n)
+	}
+
+	k := pooledCarriers() + 2
+	e2 := NewEngine()
+	defer e2.Close()
+	done := 0
+	for i := 0; i < k; i++ {
+		e2.Go("w", func(p *Proc) {
+			p.Sleep(time.Duration(i%5) * time.Microsecond)
+			p.Sleep(time.Microsecond)
+			done++
+		})
+	}
+	e2.Run()
+	if done != k || e2.NumBlocked() != 0 {
+		t.Fatalf("fresh engine finished %d of %d procs (%d blocked)", done, k, e2.NumBlocked())
+	}
+}
+
+// TestCloseSkipsCarrierParkedDuringKill: a body that parks again while
+// it is being killed (here, a deferred sleep) leaves its carrier
+// suspended mid-unwind. Close must not pool such a carrier, or the next
+// engine to borrow it would resume the dead body.
+func TestCloseSkipsCarrierParkedDuringKill(t *testing.T) {
+	e := NewEngine()
+	e.Go("stubborn", func(p *Proc) {
+		defer p.Sleep(time.Microsecond)
+		NewCond(e, "never").Wait(p)
+	})
+	e.Run()
+	before := pooledCarriers()
+	e.Close()
+	if n := pooledCarriers() - before; n != 0 {
+		t.Fatalf("Close pooled %d carriers, want 0", n)
 	}
 }

@@ -17,7 +17,6 @@ type Pipe struct {
 	perUse    time.Duration
 	freeAt    Time
 	busy      time.Duration
-	uses      int64
 }
 
 // NewPipe returns a pipe that moves bytesPerSec bytes per second and
@@ -57,7 +56,6 @@ func (pp *Pipe) ReserveFor(d time.Duration) (start, end Time) {
 	end = start.Add(d)
 	pp.freeAt = end
 	pp.busy += d
-	pp.uses++
 	return start, end
 }
 
@@ -77,9 +75,6 @@ func (pp *Pipe) UseFor(p *Proc, d time.Duration) {
 
 // Busy returns accumulated busy time.
 func (pp *Pipe) Busy() time.Duration { return pp.busy }
-
-// Uses returns the number of reservations made.
-func (pp *Pipe) Uses() int64 { return pp.uses }
 
 // Utilization returns busy time as a fraction of the interval [0, at].
 func (pp *Pipe) Utilization(at Time) float64 {

@@ -81,8 +81,8 @@ func TestPipeBusyAndUtilization(t *testing.T) {
 	if u := pp.Utilization(400); u != 0.25 {
 		t.Fatalf("Utilization %v, want 0.25", u)
 	}
-	if pp.Uses() != 1 {
-		t.Fatalf("Uses %d", pp.Uses())
+	if pp.freeAt != 100 {
+		t.Fatalf("pipe free at %v, want 100ns", pp.freeAt)
 	}
 	if pp.Utilization(0) != 0 {
 		t.Fatal("Utilization at t=0 should be 0")

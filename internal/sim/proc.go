@@ -2,40 +2,100 @@ package sim
 
 import (
 	"fmt"
+	"iter"
+	"sync"
 	"time"
 )
 
-// A Proc is a simulated process: a goroutine scheduled cooperatively by
-// the engine so that exactly one proc (or event callback) runs at a time.
-// Procs block by parking themselves on synchronization objects or by
-// sleeping; control returns to the engine, which advances virtual time.
+// A Proc is a simulated process: a body function the engine runs on a
+// coroutine (its carrier), scheduled cooperatively so that exactly one
+// proc (or event callback) runs at a time. Procs block by parking
+// themselves on synchronization objects or by sleeping; control returns
+// to the event loop, which advances virtual time.
 //
 // Proc objects are recycled: when a body function returns, the proc dies
 // and goes onto the engine's free list, and the next Engine.Go re-arms it
-// (same goroutine, same channels) with a fresh body. Each death bumps the
-// proc's generation; dispatch tokens queued for an earlier incarnation
-// mismatch and fire as harmless no-ops (see Engine.loop), so a wake-up
-// left behind by a dead-and-recycled proc can never resume the wrong
-// incarnation.
+// (same carrier) with a fresh body. Each death bumps the proc's
+// generation; dispatch tokens queued for an earlier incarnation mismatch
+// and fire as harmless no-ops (see Engine.loop), so a wake-up left behind
+// by a dead-and-recycled proc can never resume the wrong incarnation.
 type Proc struct {
 	eng      *Engine
+	c        *carrier // coroutine running this proc's incarnations
 	name     string
 	gen      uint64 // incarnation tag; bumped at every death
 	state    string // park reason for non-sleep parks, for deadlock diagnosis
 	asleep   bool   // parked in SleepUntil; deadline holds the wake time
 	deadline Time
 	fn       func(p *Proc) // body of the armed (or running) incarnation
-	resume   chan struct{}
-	exited   chan struct{}
 	killed   bool
 	dead     bool // no live incarnation (idle on the free list)
 	daemon   bool // excluded from NumBlocked (dispatchers, pool workers...)
 }
 
-// procKilled is panicked inside a proc goroutine when the engine shuts
-// down; the goroutine's top frame recovers it so the goroutine exits
-// cleanly.
+// procKilled is panicked inside a proc's body when the engine shuts
+// down; the carrier recovers it and is released back to the pool.
 type procKilled struct{}
+
+// A carrier is an iter.Pull coroutine that runs procs. It serves one
+// proc from spawn until Engine.Close kills that proc; the body then
+// unwinds, the carrier yields nil back to Close from its release point,
+// and Close returns it to a process-wide free list for the next spawn on
+// any engine. An iter.Pull coroutine costs about 11 heap allocations to
+// create, so pooling is what keeps sweeps, the daemon and repeated runs
+// from paying that once per proc per engine.
+type carrier struct {
+	p     *Proc                // proc being served; nil while released
+	next  func() (*Proc, bool) // resume; returns the proc to run next, or nil
+	yield func(*Proc) bool     // suspend, handing the hub the proc to run next
+}
+
+// carriers is the process-wide free list of released carriers. It is
+// not a sync.Pool: a carrier the GC dropped from one would leak its
+// suspended goroutine.
+var carriers struct {
+	sync.Mutex
+	free []*carrier
+}
+
+// getCarrier takes a released carrier from the pool, or creates one.
+func getCarrier() *carrier {
+	carriers.Lock()
+	if n := len(carriers.free); n > 0 {
+		c := carriers.free[n-1]
+		carriers.free[n-1] = nil
+		carriers.free = carriers.free[:n-1]
+		carriers.Unlock()
+		return c
+	}
+	carriers.Unlock()
+	c := new(carrier)
+	// No stop function is kept: a carrier lives as long as the process,
+	// suspended in the pool whenever no proc is using it.
+	c.next, _ = iter.Pull(c.run)
+	return c
+}
+
+// putCarrier returns a released carrier to the pool. Only the caller of
+// next may do this, after the carrier yielded from its release point:
+// a carrier that pooled itself could be resumed by another engine
+// before it had suspended.
+func putCarrier(c *carrier) {
+	carriers.Lock()
+	carriers.free = append(carriers.free, c)
+	carriers.Unlock()
+}
+
+// run is the carrier's coroutine body: serve the proc it is lent to,
+// release it at the kill, then wait to be lent again.
+func (c *carrier) run(yield func(*Proc) bool) {
+	c.yield = yield
+	for {
+		c.p.serve()
+		c.p = nil // the release point kill checks for
+		yield(nil)
+	}
+}
 
 // Go spawns a new simulated process that starts at the current virtual
 // time. The name appears in deadlock diagnostics. fn runs to completion
@@ -67,12 +127,8 @@ func (e *Engine) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
 		e.free = e.free[:n-1]
 		p.dead = false
 	} else {
-		p = &Proc{
-			eng:    e,
-			resume: make(chan struct{}),
-			exited: make(chan struct{}),
-		}
-		go p.top()
+		p = &Proc{eng: e, c: getCarrier()}
+		p.c.p = p
 	}
 	p.name = name
 	p.fn = fn
@@ -82,50 +138,31 @@ func (e *Engine) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
 	return p
 }
 
-// top is the outermost frame of a proc goroutine. One goroutine serves
-// many incarnations: it waits to be dispatched, runs the armed body, and
-// — after the body returns and the proc is retired — waits to be re-armed
-// by a later Go.
-func (p *Proc) top() {
+// serve runs p's incarnations until the engine kills p. When a body
+// returns, the proc retires but its carrier still holds the execution
+// token, so it keeps firing events in place; if one of those events
+// starts this proc's next incarnation (the engine recycled it), the
+// carrier continues straight into the new body with no switch at all.
+// A panic other than the kill propagates out of the carrier, and
+// iter.Pull re-raises it in the Run caller.
+func (p *Proc) serve() {
 	defer func() {
-		close(p.exited)
 		if r := recover(); r != nil {
-			if _, ok := r.(procKilled); ok {
-				return // engine shutdown; exit silently
+			if _, ok := r.(procKilled); !ok {
+				panic(r)
 			}
-			panic(r)
 		}
 	}()
-	for {
-		if _, ok := <-p.resume; !ok || p.killed {
-			panic(procKilled{})
-		}
-		p.run()
-	}
-}
-
-// run executes body functions, starting with the currently armed one.
-// When a body returns, the proc retires but its goroutine still holds the
-// execution token, so it keeps firing events in place; if one of those
-// events starts this proc's next incarnation (the engine recycled it),
-// the goroutine continues straight into the new body with no channel
-// operation at all.
-func (p *Proc) run() {
 	e := p.eng
-	for {
+	for !p.killed {
 		fn := p.fn
 		p.fn = nil
 		fn(p)
 		p.retire()
 		e.cur = nil // back in event context until the loop dispatches
-		switch e.loop(p) {
-		case tokenSelf:
-			continue // recycled and dispatched again: run the new body
-		case tokenDrained:
-			e.rootWake <- struct{}{}
-		case tokenMoved:
+		if q := e.loop(); q != p {
+			p.c.yield(q)
 		}
-		return
 	}
 }
 
@@ -146,23 +183,17 @@ func (p *Proc) retire() {
 // park blocks the calling proc until another party wakes it via
 // Engine.wake. state describes what the proc is waiting for.
 //
-// The parking goroutine holds the execution token, so instead of handing
-// control back to a central scheduler it keeps running the event loop in
-// place. The loop either resumes this very proc (no channel operation at
-// all), passes the token to the next dispatched proc (one channel send),
-// or — when the run ends — returns it to the Run caller.
+// The parking proc holds the execution token, so it keeps running the
+// event loop in place. If the loop dispatches this very proc it returns
+// with no switch; otherwise the carrier yields the dispatched proc (nil
+// when the run ends) to the hub and resumes when it is dispatched again.
 func (p *Proc) park(state string) {
 	p.state = state
 	e := p.eng
 	e.cur = nil // back in event context until the loop dispatches
-	switch e.loop(p) {
-	case tokenSelf:
-		// This proc was the next thing to run; continue in place.
-	case tokenDrained:
-		e.rootWake <- struct{}{}
-		fallthrough
-	case tokenMoved:
-		if _, ok := <-p.resume; !ok || p.killed {
+	if q := e.loop(); q != p {
+		p.c.yield(q)
+		if p.killed {
 			panic(procKilled{})
 		}
 	}

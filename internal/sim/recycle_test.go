@@ -1,16 +1,18 @@
 package sim
 
 import (
+	"sync"
 	"testing"
 	"time"
 )
 
 // TestProcRecycleReusesObject pins the free-list contract: a proc that
-// dies is handed out again by the next Go, same object, same goroutine.
+// dies is handed out again by the next Go, same object, same carrier.
 func TestProcRecycleReusesObject(t *testing.T) {
 	e := NewEngine()
 	defer e.Close()
 	p1 := e.Go("first", func(p *Proc) {})
+	c1 := p1.c
 	e.Run()
 	if len(e.free) != 1 || e.free[0] != p1 {
 		t.Fatalf("dead proc not on free list (len %d)", len(e.free))
@@ -22,8 +24,8 @@ func TestProcRecycleReusesObject(t *testing.T) {
 			t.Errorf("recycled proc named %q", p.Name())
 		}
 	})
-	if p2 != p1 {
-		t.Fatal("Go did not recycle the dead proc")
+	if p2 != p1 || p2.c != c1 {
+		t.Fatal("Go did not recycle the dead proc and its carrier")
 	}
 	e.Run()
 	if !ran {
@@ -80,12 +82,12 @@ func TestStaleWakeOnDeadProcIsDropped(t *testing.T) {
 	}
 }
 
-// TestRecycleChainSameGoroutine exercises the token-self handoff: when
-// a dying proc's goroutine fires the event that re-arms that very proc,
-// it must continue straight into the new body — same goroutine, no
-// channel operation — for arbitrarily long chains. The respawn goes
-// through an event so it runs after the previous incarnation retired.
-func TestRecycleChainSameGoroutine(t *testing.T) {
+// TestRecycleChainSameCarrier exercises the self-dispatch fast path:
+// when a dying proc's carrier fires the event that re-arms that very
+// proc, it must continue straight into the new body — same carrier, no
+// switch — for arbitrarily long chains. The respawn goes through an
+// event so it runs after the previous incarnation retired.
+func TestRecycleChainSameCarrier(t *testing.T) {
 	e := NewEngine()
 	defer e.Close()
 	count := 0
@@ -131,8 +133,8 @@ func TestRecycleDirectChain(t *testing.T) {
 	}
 }
 
-// TestCloseAfterRecycleIdempotent: Close must shut down parked free-list
-// goroutines exactly once, and a second Close must be a no-op.
+// TestCloseAfterRecycleIdempotent: Close must release the carriers of
+// free-list procs exactly once, and a second Close must be a no-op.
 func TestCloseAfterRecycleIdempotent(t *testing.T) {
 	e := NewEngine()
 	for i := 0; i < 10; i++ {
@@ -142,8 +144,12 @@ func TestCloseAfterRecycleIdempotent(t *testing.T) {
 	if len(e.free) != 1 {
 		t.Fatalf("free list holds %d procs, want 1", len(e.free))
 	}
+	before := pooledCarriers()
 	e.Close()
-	e.Close() // must not double-close resume channels
+	e.Close() // must not release a carrier twice
+	if n := pooledCarriers() - before; n != 1 {
+		t.Fatalf("Close pooled %d carriers, want 1", n)
+	}
 	if e.NumBlocked() != 0 || len(e.free) != 0 {
 		t.Fatalf("Close left procs: blocked %d, free %d", e.NumBlocked(), len(e.free))
 	}
@@ -201,7 +207,7 @@ func TestBlockedProcsSorted(t *testing.T) {
 
 // TestProcSpawnAllocFree is the allocation-regression guard for the
 // recycling path: once the engine is warm, a spawn-run cycle must not
-// allocate (the proc, its channels, and its dispatch tokens are all
+// allocate (the proc, its carrier, and its dispatch tokens are all
 // reused).
 func TestProcSpawnAllocFree(t *testing.T) {
 	e := NewEngine()
@@ -232,4 +238,108 @@ func BenchmarkProcSpawn(b *testing.B) {
 		e.Go("w", fn)
 		e.Run()
 	}
+}
+
+// pooledCarriers returns the size of the process-wide carrier pool.
+func pooledCarriers() int {
+	carriers.Lock()
+	defer carriers.Unlock()
+	return len(carriers.free)
+}
+
+// TestCarrierReuseAcrossEngines: procs of a new engine borrow the
+// carriers earlier engines released at Close, so once the pool is warm
+// an engine's cycle allocates only the k Proc structs plus about 20
+// objects for the engine, its map, queue and free list, the cond and
+// the test's closures (28 at k = 8) — no coroutine. A cycle that missed
+// the pool would add about 11 allocations per proc.
+func TestCarrierReuseAcrossEngines(t *testing.T) {
+	const k, limit = 8, 32
+	cycle := func() {
+		e := NewEngine()
+		gate := NewCond(e, "gate")
+		body := func(p *Proc) {
+			p.Sleep(time.Microsecond)
+			gate.Wait(p)
+		}
+		for i := 0; i < k; i++ {
+			e.Go("w", body)
+		}
+		e.At(Time(2*time.Microsecond), gate.Broadcast)
+		e.Run()
+		e.Close()
+	}
+	cycle() // warm the pool
+	if avg := testing.AllocsPerRun(50, cycle); avg > limit {
+		t.Errorf("engine cycle allocates %.1f objects, want <= %d (a coroutine was created)", avg, limit)
+	}
+}
+
+// TestCarrierPoolConcurrentEngines runs engines on two goroutines at
+// once, so the shared carrier pool is exercised under the race detector:
+// every run must deliver every message and fire the same events,
+// whichever carriers it borrows.
+func TestCarrierPoolConcurrentEngines(t *testing.T) {
+	run := func() int64 {
+		e := NewEngine()
+		defer e.Close()
+		mb := NewMailbox(e, "mb")
+		got := 0
+		e.GoDaemon("sink", func(p *Proc) {
+			for {
+				mb.Get(p)
+				got++
+			}
+		})
+		for i := 0; i < 6; i++ {
+			e.Go("src", func(p *Proc) {
+				for j := 0; j < 20; j++ {
+					p.Sleep(time.Duration(i+1) * time.Microsecond)
+					mb.Put(j)
+				}
+			})
+		}
+		e.Run()
+		if got != 6*20 {
+			t.Errorf("sink got %d messages, want %d", got, 6*20)
+		}
+		return e.Events()
+	}
+	want := run()
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				if got := run(); got != want {
+					t.Errorf("concurrent run fired %d events, want %d", got, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// BenchmarkProcHandoff measures one proc-to-proc handoff: two procs
+// ping-pong a Cond, each signalling the other and parking, so every op
+// is a park, a wake and a switch to the other proc's carrier.
+func BenchmarkProcHandoff(b *testing.B) {
+	e := NewEngine()
+	defer e.Close()
+	baton := NewCond(e, "baton")
+	left := b.N
+	body := func(p *Proc) {
+		for left > 0 {
+			left--
+			baton.Signal()
+			baton.Wait(p)
+		}
+	}
+	e.Go("ping", body)
+	e.Go("pong", body)
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
 }
