@@ -39,9 +39,9 @@ func NewClient(m *cluster.Machine, f *pfs.File, dec hpf.Access, servers []*Serve
 // after the run.
 func (c *Client) EndTime() sim.Time { return c.end }
 
-// CollectiveCP runs cp's side of a collective read or write of the whole
-// file.
-func (c *Client) CollectiveCP(p *sim.Proc, cp int, write bool) {
+// TransferCP runs cp's side of a collective read or write of the
+// client's access (the whole file, for a matrix pattern).
+func (c *Client) TransferCP(p *sim.Proc, cp int, write bool) {
 	c.barrier.Wait(p)
 	cpNode := c.m.CPs[cp]
 	if cp == 0 {

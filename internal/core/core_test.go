@@ -190,7 +190,7 @@ func TestPartialBlockWriteRMW(t *testing.T) {
 	}
 	for cp := range r.m.CPs {
 		cp := cp
-		r.eng.Go("cp", func(p *sim.Proc) { client.CollectiveCP(p, cp, true) })
+		r.eng.Go("cp", func(p *sim.Proc) { client.TransferCP(p, cp, true) })
 	}
 	r.eng.Run()
 	if client.EndTime() == 0 {

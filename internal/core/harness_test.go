@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"ddio/internal/bus"
 	"ddio/internal/cluster"
 	"ddio/internal/disk"
 	"ddio/internal/hpf"
@@ -40,9 +39,9 @@ func newRig(t *testing.T, o rigOpts) *rig {
 	t.Cleanup(e.Close)
 	rng := sim.NewRand(o.seed)
 	m := cluster.New(e, netsim.DefaultConfig(), o.ncp, o.niop, rng)
-	buses := make([]*bus.Bus, o.niop)
+	buses := make([]*sim.Pipe, o.niop)
 	for i := range buses {
-		buses[i] = bus.New(e, fmt.Sprintf("bus%d", i), 10e6, 100*time.Microsecond)
+		buses[i] = sim.NewPipe(e, fmt.Sprintf("bus%d", i), 10e6, 100*time.Microsecond)
 	}
 	disks := make([]*disk.Disk, o.ndisks)
 	for d := range disks {
@@ -80,7 +79,7 @@ func (r *rig) collective(t *testing.T, dec *hpf.Decomp, write bool, prm Params) 
 	}
 	for cp := range r.m.CPs {
 		cp := cp
-		r.eng.Go(fmt.Sprintf("cp%d", cp), func(p *sim.Proc) { client.CollectiveCP(p, cp, write) })
+		r.eng.Go(fmt.Sprintf("cp%d", cp), func(p *sim.Proc) { client.TransferCP(p, cp, write) })
 	}
 	r.eng.Run()
 	if client.EndTime() == 0 {
@@ -128,7 +127,11 @@ func (r *rig) totalMetrics() Metrics {
 
 func mustDecomp(t *testing.T, pattern string, fileBytes int64, recSize, ncp int) *hpf.Decomp {
 	t.Helper()
-	d, err := hpf.MustPattern(pattern).Decomp(fileBytes, recSize, ncp)
+	pat, err := hpf.ParsePattern(pattern)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := pat.Decomp(fileBytes, recSize, ncp)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,7 +60,7 @@ func TestOverlappingWriteSlotsKeepRMW(t *testing.T) {
 	client := NewClient(r.m, r.f, acc, r.servers, DefaultParams())
 	for cp := range r.m.CPs {
 		cp := cp
-		r.eng.Go(fmt.Sprintf("cp%d", cp), func(p *sim.Proc) { client.CollectiveCP(p, cp, true) })
+		r.eng.Go(fmt.Sprintf("cp%d", cp), func(p *sim.Proc) { client.TransferCP(p, cp, true) })
 	}
 	r.eng.Run()
 	if client.EndTime() == 0 {

@@ -1,4 +1,7 @@
-package bus
+package disk
+
+// The I/O bus a disk shares with the other drives of its IOP is a
+// sim.Pipe; these tests pin the bus behaviour the disks rely on.
 
 import (
 	"testing"
@@ -9,7 +12,7 @@ import (
 
 func TestTransferTimeIncludesOverhead(t *testing.T) {
 	e := sim.NewEngine()
-	b := New(e, "scsi", 10e6, 100*time.Microsecond)
+	b := sim.NewPipe(e, "scsi", 10e6, 100*time.Microsecond)
 	// 8 KB at 10 MB/s = 819.2 us, plus 100 us overhead.
 	got := b.TransferTime(8192)
 	want := 100*time.Microsecond + time.Duration(8192*100)*time.Nanosecond
@@ -21,11 +24,11 @@ func TestTransferTimeIncludesOverhead(t *testing.T) {
 func TestBusSerializesContenders(t *testing.T) {
 	e := sim.NewEngine()
 	defer e.Close()
-	b := New(e, "scsi", 10e6, 0)
+	b := sim.NewPipe(e, "scsi", 10e6, 0)
 	var ends []sim.Time
 	for i := 0; i < 3; i++ {
 		e.Go("d", func(p *sim.Proc) {
-			b.Transfer(p, 1000) // 100 us each
+			b.Use(p, 1000) // 100 us each
 			ends = append(ends, p.Now())
 		})
 	}
@@ -48,9 +51,9 @@ func TestBusSerializesContenders(t *testing.T) {
 func TestBusUtilization(t *testing.T) {
 	e := sim.NewEngine()
 	defer e.Close()
-	b := New(e, "scsi", 10e6, 0)
+	b := sim.NewPipe(e, "scsi", 10e6, 0)
 	e.Go("d", func(p *sim.Proc) {
-		b.Transfer(p, 1000)
+		b.Use(p, 1000)
 		p.Sleep(100 * time.Microsecond) // idle period
 	})
 	e.Run()
@@ -65,13 +68,13 @@ func TestBusUtilization(t *testing.T) {
 func TestBusCapsAggregateThroughput(t *testing.T) {
 	e := sim.NewEngine()
 	defer e.Close()
-	b := New(e, "scsi", 10e6, 0)
+	b := sim.NewPipe(e, "scsi", 10e6, 0)
 	const n = 100
 	var end sim.Time
 	done := sim.NewWaitGroup(e, "wg", n)
 	for i := 0; i < n; i++ {
 		e.Go("d", func(p *sim.Proc) {
-			b.Transfer(p, 8192)
+			b.Use(p, 8192)
 			done.Done()
 		})
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"ddio/internal/bus"
 	"ddio/internal/fault"
 	"ddio/internal/sim"
 	"ddio/internal/trace"
@@ -62,7 +61,7 @@ type Disk struct {
 	Spec *Spec
 
 	eng   *sim.Engine
-	bus   *bus.Bus
+	bus   *sim.Pipe
 	g     *geom
 	cache *racache
 	wb    wcache
@@ -78,10 +77,15 @@ type Disk struct {
 	faults  *fault.DiskFaults // fault injection, nil when disabled
 }
 
-// New creates a disk and starts its server process on the engine. b may
-// be nil to model a drive with an uncontended, infinitely fast channel.
+// New creates a disk and starts its server process on the engine. bus is
+// the I/O bus the disk shares with the other drives of its IOP: a
+// fixed-bandwidth, first-come-first-served pipe with a per-transfer
+// arbitration overhead (the paper's Table 1: one 10 MB/s SCSI bus per
+// IOP). With more than a few disks per bus the bus, not the disks,
+// becomes the bottleneck — the effect Figures 6–8 explore. bus may be
+// nil to model a drive with an uncontended, infinitely fast channel.
 // sched nil defaults to FCFS.
-func New(e *sim.Engine, name string, spec *Spec, b *bus.Bus, sched Scheduler) *Disk {
+func New(e *sim.Engine, name string, spec *Spec, bus *sim.Pipe, sched Scheduler) *Disk {
 	if sched == nil {
 		sched = FCFS{}
 	}
@@ -89,7 +93,7 @@ func New(e *sim.Engine, name string, spec *Spec, b *bus.Bus, sched Scheduler) *D
 		Name:    name,
 		Spec:    spec,
 		eng:     e,
-		bus:     b,
+		bus:     bus,
 		g:       newGeom(spec),
 		sched:   sched,
 		storage: make(map[int64]sector),
@@ -110,10 +114,6 @@ func (d *Disk) Metrics() Metrics { return d.m }
 // the drive healthy and the service path bit-identical to a build
 // without fault injection. Call before the run starts.
 func (d *Disk) SetFaults(f *fault.DiskFaults) { d.faults = f }
-
-// PoolStats reports how many transfer buffers the disk handed out and
-// how many of those were reused from its free list (diagnostic).
-func (d *Disk) PoolStats() (gets, reuses int64) { return d.pool.gets, d.pool.reuses }
 
 // Submit enqueues a request; the server process picks it up according to
 // the disk's scheduler. May be called from proc or event context.
@@ -260,7 +260,7 @@ func (d *Disk) serveRead(p *sim.Proc, r *Request) {
 		d.cache.startStream(r.LBN, r.LBN+r.Count, end)
 	}
 	if d.bus != nil {
-		d.bus.Transfer(p, int(r.Count)*d.Spec.SectorSize)
+		d.bus.Use(p, int(r.Count)*d.Spec.SectorSize)
 	}
 	r.Data = d.ReadData(r.LBN, r.Count)
 }
@@ -269,7 +269,7 @@ func (d *Disk) serveWrite(p *sim.Proc, r *Request) {
 	d.m.Writes++
 	d.m.SectorsWrite += r.Count
 	if d.bus != nil {
-		d.bus.Transfer(p, int(r.Count)*d.Spec.SectorSize)
+		d.bus.Use(p, int(r.Count)*d.Spec.SectorSize)
 	}
 	d.WriteData(r.LBN, r.Data)
 	if d.cache.overlaps(r.LBN, r.Count) {

@@ -316,8 +316,8 @@ func TestMetricsCountOps(t *testing.T) {
 	if m.SectorsRead != 16 || m.SectorsWrite != 16 {
 		t.Fatalf("sectors %d/%d", m.SectorsRead, m.SectorsWrite)
 	}
-	if d.StoredSectors() != 16 {
-		t.Fatalf("stored %d sectors", d.StoredSectors())
+	if len(d.storage) != 16 {
+		t.Fatalf("stored %d sectors", len(d.storage))
 	}
 }
 

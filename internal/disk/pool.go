@@ -10,14 +10,12 @@ package disk
 // payloads) may embed their own.
 type Pool struct {
 	free   map[int][][]byte
-	gets   int64 // total buffers handed out
-	reuses int64 // handed out from the free list rather than allocated
+	reuses int64 // buffers handed out from the free list rather than allocated
 }
 
 // Get returns a buffer of exactly n bytes, reusing a recycled one when
 // available.
 func (bp *Pool) Get(n int) []byte {
-	bp.gets++
 	if s := bp.free[n]; len(s) > 0 {
 		b := s[len(s)-1]
 		s[len(s)-1] = nil

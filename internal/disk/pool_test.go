@@ -39,7 +39,7 @@ func TestPoolNoCrossRequestAliasing(t *testing.T) {
 
 // TestPoolRecycleReusesBuffer: a recycled buffer is handed back to the
 // next same-size request (LIFO), with correct fresh contents, and the
-// reuse shows up in PoolStats.
+// reuse shows up in the pool's reuse count.
 func TestPoolRecycleReusesBuffer(t *testing.T) {
 	e, d := newTestDisk(t, HP97560())
 	payload := make([]byte, 16*512)
@@ -61,8 +61,8 @@ func TestPoolRecycleReusesBuffer(t *testing.T) {
 	if !bytes.Equal(second, payload) {
 		t.Fatal("reused buffer carries wrong contents")
 	}
-	if _, reuses := d.PoolStats(); reuses == 0 {
-		t.Fatal("PoolStats reports no reuse")
+	if d.pool.reuses == 0 {
+		t.Fatal("pool reports no reuse")
 	}
 }
 
@@ -108,9 +108,8 @@ func TestWriteDataRecyclesOverwrittenBacking(t *testing.T) {
 		}
 	})
 	e.Run()
-	_, reuses := d.PoolStats()
-	if reuses < 6 {
-		t.Fatalf("rewrites reused only %d backing arrays, want >= 6", reuses)
+	if d.pool.reuses < 6 {
+		t.Fatalf("rewrites reused only %d backing arrays, want >= 6", d.pool.reuses)
 	}
 	var got []byte
 	e.Go("t2", func(p *sim.Proc) { got = d.ReadSync(p, 0, 16) })

@@ -78,6 +78,3 @@ func (d *Disk) Buffer(n int) []byte { return d.pool.Get(n) }
 // the buffer (including subslices) afterwards; a recycled buffer is
 // reused verbatim by a later read or write.
 func (d *Disk) Recycle(buf []byte) { d.pool.Put(buf) }
-
-// StoredSectors returns how many distinct sectors hold data (diagnostic).
-func (d *Disk) StoredSectors() int { return len(d.storage) }

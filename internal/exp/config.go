@@ -234,6 +234,15 @@ func (c *Config) Validate() error {
 	return nil
 }
 
+// label names what the run transfers, for errors and titles: the
+// pattern of a classic run, the workload's summary otherwise.
+func (c *Config) label() string {
+	if c.Workload.Enabled() {
+		return c.Workload.Summary()
+	}
+	return c.Pattern
+}
+
 // NumBlocks returns the file length in blocks.
 func (c *Config) NumBlocks() int { return int(c.FileBytes / int64(c.BlockSize)) }
 

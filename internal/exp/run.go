@@ -4,18 +4,17 @@ import (
 	"fmt"
 	"time"
 
-	"ddio/internal/bus"
 	"ddio/internal/cluster"
 	"ddio/internal/core"
 	"ddio/internal/disk"
 	"ddio/internal/fault"
-	"ddio/internal/hpf"
 	"ddio/internal/pfs"
 	"ddio/internal/sim"
 	"ddio/internal/stats"
 	"ddio/internal/tcfs"
 	"ddio/internal/trace"
 	"ddio/internal/twophase"
+	"ddio/internal/workload"
 )
 
 // DiskTotals sums the per-disk metrics of a run.
@@ -106,7 +105,7 @@ type machine struct {
 	rng   *sim.Rand
 	inj   *fault.Injector
 	m     *cluster.Machine
-	buses []*bus.Bus
+	buses []*sim.Pipe // one SCSI bus per IOP
 	disks []*disk.Disk
 	f     *pfs.File
 }
@@ -129,9 +128,9 @@ func buildMachine(cfg *Config) (*machine, error) {
 	mc.m = cluster.New(mc.eng, cfg.Net, cfg.NCP, cfg.NIOP, mc.rng)
 	mc.m.InjectFaults(mc.inj)
 
-	mc.buses = make([]*bus.Bus, cfg.NIOP)
+	mc.buses = make([]*sim.Pipe, cfg.NIOP)
 	for i := range mc.buses {
-		mc.buses[i] = bus.New(mc.eng, fmt.Sprintf("bus%d", i), cfg.BusBandwidth, cfg.BusOverhead)
+		mc.buses[i] = sim.NewPipe(mc.eng, fmt.Sprintf("bus%d", i), cfg.BusBandwidth, cfg.BusOverhead)
 	}
 	mc.disks = make([]*disk.Disk, cfg.NDisks)
 	for d := range mc.disks {
@@ -228,49 +227,46 @@ func collectDDFrom(servers []*core.Server) func(r *Result) {
 	}
 }
 
-// Run executes one experiment: the classic whole-file collective
-// transfer of cfg.Pattern, or — when cfg.Workload is enabled — the
-// declared workload's phases, under the selected method either way.
-func Run(cfg Config) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.Workload.Enabled() {
-		return runWorkload(cfg)
-	}
-	pat, err := hpf.ParsePattern(cfg.Pattern)
-	if err != nil {
-		return nil, err
-	}
-	dec, err := pat.Decomp(cfg.FileBytes, cfg.RecordSize, cfg.NCP)
-	if err != nil {
-		return nil, err
-	}
+// transferClient is the CP side of one collective transfer, as each
+// method's client provides it.
+type transferClient interface {
+	TransferCP(p *sim.Proc, cp int, write bool)
+	EndTime() sim.Time
+}
 
-	mc, err := buildMachine(&cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer mc.Close()
-	eng, m, f := mc.eng, mc.m, mc.f
+// fileSystem is the method under test, built once per run: its servers
+// (caches and service pools persist across phases, as they would on a
+// real machine), a constructor for each collective transfer's client,
+// and the collection of the servers' counters.
+type fileSystem struct {
+	tcServers []*tcfs.Server // traditional-caching IOPs (TC and two-phase)
+	newClient func(x *transfer, base []int64) transferClient
+	collect   func(r *Result)
+}
 
-	// Build the file system under test and the per-CP transfer bodies.
-	var runCP func(p *sim.Proc, cp int)
-	var endTime func() sim.Time
-	var collectTC func(r *Result)
-	var collectDD func(r *Result)
-	memBytes := func(cp int) int64 { return dec.CPBytes(cp) }
-
+// buildFileSystem builds cfg's method on the machine.
+func buildFileSystem(cfg *Config, mc *machine) (*fileSystem, error) {
+	m, f := mc.m, mc.f
+	fs := &fileSystem{}
 	switch cfg.Method {
-	case TraditionalCaching:
-		servers := make([]*tcfs.Server, cfg.NIOP)
-		for i := range servers {
-			servers[i] = tcfs.NewServer(m, m.IOPs[i], f, cfg.NCP, cfg.TC)
+	case TraditionalCaching, TwoPhase:
+		fs.tcServers = make([]*tcfs.Server, cfg.NIOP)
+		for i := range fs.tcServers {
+			fs.tcServers[i] = tcfs.NewServer(m, m.IOPs[i], f, cfg.NCP, cfg.TC)
 		}
-		client := tcfs.NewClient(m, f, dec, servers, cfg.TC)
-		runCP = func(p *sim.Proc, cp int) { client.TransferCP(p, cp, pat.Write) }
-		endTime = client.EndTime
-		collectTC = collectTCFrom(servers)
+		fs.collect = collectTCFrom(fs.tcServers)
+		if cfg.Method == TraditionalCaching {
+			fs.newClient = func(x *transfer, base []int64) transferClient {
+				c := tcfs.NewClient(m, f, x.acc, fs.tcServers, cfg.TC)
+				c.SetMemBase(base)
+				return c
+			}
+		} else {
+			fs.newClient = func(x *transfer, base []int64) transferClient {
+				return twophase.NewClient(m, f, workload.Offset(x.acc, base), x.conf, x.stage,
+					fs.tcServers, cfg.TC, cfg.TP)
+			}
+		}
 	case DiskDirected, DiskDirectedSort:
 		prm := cfg.DD
 		prm.Presort = cfg.Method == DiskDirectedSort
@@ -278,103 +274,154 @@ func Run(cfg Config) (*Result, error) {
 		for i := range servers {
 			servers[i] = core.NewServer(m, m.IOPs[i], f, prm)
 		}
-		client := core.NewClient(m, f, dec, servers, prm)
-		runCP = func(p *sim.Proc, cp int) { client.CollectiveCP(p, cp, pat.Write) }
-		endTime = client.EndTime
-		collectDD = collectDDFrom(servers)
-	case TwoPhase:
-		servers := make([]*tcfs.Server, cfg.NIOP)
-		for i := range servers {
-			servers[i] = tcfs.NewServer(m, m.IOPs[i], f, cfg.NCP, cfg.TC)
+		fs.collect = collectDDFrom(servers)
+		fs.newClient = func(x *transfer, base []int64) transferClient {
+			return core.NewClient(m, f, workload.Offset(x.acc, base), servers, prm)
 		}
-		client, err := twophase.NewClient(m, f, dec, servers, cfg.TC, cfg.TP)
-		if err != nil {
-			return nil, err
-		}
-		memBytes = client.MemBytes
-		runCP = func(p *sim.Proc, cp int) { client.TransferCP(p, cp, pat.Write) }
-		endTime = client.EndTime
-		collectTC = collectTCFrom(servers)
 	default:
 		return nil, fmt.Errorf("exp: unknown method %v", cfg.Method)
 	}
+	return fs, nil
+}
 
-	// Allocate CP memory; writes start with the application data (the
-	// deterministic file image) already in memory.
-	for cp, node := range m.CPs {
-		node.Mem = make([]byte, memBytes(cp))
+// Run executes one experiment: the declared workload's phases when
+// cfg.Workload is enabled, else the classic whole-file collective
+// transfer of cfg.Pattern — which is exactly a one-phase workload.
+// Either way the phases run in order, separated by barriers, through
+// the selected file-system method. All workload randomness comes from
+// dedicated "wl:*" sub-streams of the run seed, so the substrate draws
+// are untouched and results are identical for any worker count.
+func Run(cfg Config) (*Result, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
-	if pat.Write {
-		for cp, node := range m.CPs {
-			for _, ch := range dec.Chunks(cp) {
-				pfs.FillImage(node.Mem[ch.MemOff:ch.MemOff+ch.Len], ch.FileOff)
+	// Workload runs always time their requests (open-arrival runs are
+	// latency studies): when the caller did not attach a recorder, attach
+	// one filtered to request-end events — one retained event per
+	// request. Recorders are passive, so the event sequence and every
+	// throughput metric are identical either way. Classic runs have no
+	// per-request arrivals to time and skip the recorder.
+	latRec := cfg.Trace
+	if latRec == nil && cfg.Workload.Enabled() {
+		latRec = trace.NewFiltered(trace.KindReqEnd)
+		cfg.Trace = latRec
+	}
+	mc, err := buildMachine(&cfg)
+	if err != nil {
+		return nil, err
+	}
+	defer mc.Close()
+	eng, m, f := mc.eng, mc.m, mc.f
+
+	res, err := resolve(&cfg, mc.rng)
+	if err != nil {
+		return nil, err
+	}
+	lay, err := layOut(&cfg, res)
+	if err != nil {
+		return nil, err
+	}
+	for cp, node := range m.CPs {
+		node.Mem = make([]byte, lay.memBytes[cp])
+	}
+
+	fs, err := buildFileSystem(&cfg, mc)
+	if err != nil {
+		return nil, err
+	}
+
+	phases := make([]phaseExec, len(res.Phases))
+	for i := range res.Phases {
+		ph := &res.Phases[i]
+		base := lay.appBase[i]
+		if cfg.Method == TraditionalCaching && !ph.Collective {
+			// Traditional caching serves a request stream as issued,
+			// honouring its arrival process.
+			client := tcfs.NewClient(m, f, nil, fs.tcServers, cfg.TC)
+			streams := streamReqs(ph, base)
+			phases[i] = phaseExec{
+				runCP: func(p *sim.Proc, cp int) { client.StreamCP(p, cp, streams[cp]) },
+				end:   client.EndTime,
 			}
+			continue
 		}
-	} else {
+		// A collective cannot start before the phase's requests exist:
+		// each CP waits out its arrival makespan (none for a collective
+		// phase), then reads collectively, then writes collectively.
+		xs := lay.transfers[i]
+		clients := make([]transferClient, len(xs))
+		for k := range xs {
+			clients[k] = fs.newClient(&xs[k], base)
+		}
+		delay := ph.Delay
+		phases[i] = phaseExec{
+			runCP: func(p *sim.Proc, cp int) {
+				if cp < len(delay) && delay[cp] > 0 {
+					p.Sleep(delay[cp])
+				}
+				for k, c := range clients {
+					c.TransferCP(p, cp, xs[k].write)
+				}
+			},
+			end: clients[len(clients)-1].EndTime,
+		}
+	}
+
+	// Preload the file image when anything reads; seed write buffers
+	// with the image of the ranges they will write (so written bytes
+	// are verifiable end to end).
+	anyRead := false
+	for i := range res.Phases {
+		ph := &res.Phases[i]
+		if (ph.Collective && !ph.Write) || ph.ReadAcc != nil {
+			anyRead = true
+		}
+		fillWrites(ph, lay.appBase[i], m.CPs)
+	}
+	if anyRead {
 		f.Preload()
 	}
 
 	for cp := range m.CPs {
 		cp := cp
 		eng.Go(cpProcName(cp), func(p *sim.Proc) {
-			p.Sleep(cfg.BarrierCost) // collective entry cost (negligible, §3)
-			runCP(p, cp)
+			for i := range phases {
+				p.Sleep(cfg.BarrierCost) // collective entry cost per phase (negligible, §3)
+				phases[i].runCP(p, cp)
+			}
 		})
 	}
 	eng.Run()
 
-	end := endTime()
+	var end sim.Time
+	for i := range phases {
+		if t := phases[i].end(); t > end {
+			end = t
+		}
+	}
 	if end == 0 {
 		return nil, fmt.Errorf("exp: %v/%s did not complete; blocked procs: %v",
-			cfg.Method, cfg.Pattern, eng.BlockedProcs())
+			cfg.Method, cfg.label(), eng.BlockedProcs())
 	}
 
-	r := &Result{Config: cfg, Elapsed: end.Duration(), Events: eng.Events()}
-	r.MovedBytes = 0
-	for cp := 0; cp < cfg.NCP; cp++ {
-		r.MovedBytes += dec.CPBytes(cp)
-	}
+	r := &Result{Config: cfg, Elapsed: end.Duration(), Events: eng.Events(), MovedBytes: res.Bytes}
 	sec := r.Elapsed.Seconds()
-	r.MBps = float64(cfg.FileBytes) / sec / MiB
 	r.AggMBps = float64(r.MovedBytes) / sec / MiB
+	if cfg.Workload.Enabled() {
+		// For request streams the paper's file-bytes-over-time metric is
+		// meaningless; both throughput columns report bytes actually moved.
+		r.MBps = r.AggMBps
+		r.ReqLatency = latRec.RequestLatencies()
+	} else {
+		r.MBps = float64(cfg.FileBytes) / sec / MiB
+	}
 
 	if cfg.Verify {
-		r.VerifyErrors = verify(cfg, pat, dec, f, m)
+		r.VerifyErrors = verifyWorkload(res, lay.appBase, f, m)
 	}
-
-	if collectTC != nil {
-		collectTC(r)
-	}
-	if collectDD != nil {
-		collectDD(r)
-	}
+	fs.collect(r)
 	mc.collectSubstrate(r)
 	return r, nil
-}
-
-// verify checks every byte that should have moved. Reads: each CP's
-// buffer must hold the image of its chunks. Writes: the file read back
-// from the disks must equal the image.
-func verify(cfg Config, pat hpf.Pattern, dec *hpf.Decomp, f *pfs.File, m *cluster.Machine) int {
-	errs := 0
-	if pat.Write {
-		data := f.ReadBack()
-		for off := 0; off < len(data); off += cfg.BlockSize {
-			endOff := off + cfg.BlockSize
-			if pfs.VerifyImage(data[off:endOff], int64(off)) >= 0 {
-				errs++
-			}
-		}
-		return errs
-	}
-	for cp, node := range m.CPs {
-		for _, ch := range dec.Chunks(cp) {
-			if pfs.VerifyImage(node.Mem[ch.MemOff:ch.MemOff+ch.Len], ch.FileOff) >= 0 {
-				errs++
-			}
-		}
-	}
-	return errs
 }
 
 // TracedRun executes one experiment with a fresh event-trace recorder
@@ -398,7 +445,7 @@ func TracedRun(cfg Config) (*Result, *trace.Recorder, error) {
 // the CLI and the daemon so both emit byte-identical pages for the
 // same configuration.
 func TraceTitle(cfg Config) string {
-	return fmt.Sprintf("%v %s, %s layout", cfg.Method, cfg.Pattern, cfg.Layout)
+	return fmt.Sprintf("%v %s, %s layout", cfg.Method, cfg.label(), cfg.Layout)
 }
 
 // Trial is the aggregate of replicated runs of one configuration.

@@ -1,10 +1,15 @@
 package exp
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
+	"ddio/internal/hpf"
 	"ddio/internal/pfs"
+	"ddio/internal/stats"
+	"ddio/internal/workload"
 )
 
 func TestValidateRejectsBadConfigs(t *testing.T) {
@@ -203,5 +208,49 @@ func TestTrialsFailOnVerifyError(t *testing.T) {
 	cfg.Pattern = "qq"
 	if _, err := Trials(cfg, 2); err == nil {
 		t.Fatal("bad pattern not propagated")
+	}
+}
+
+// A classic run is exactly one collective phase: running cfg.Pattern as
+// a one-phase workload must reproduce every counter of the classic run.
+// Only the throughput definition differs — classic MBps is the paper's
+// file bytes over elapsed time, and classic runs time no requests.
+func TestClassicEqualsOneCollectivePhase(t *testing.T) {
+	for _, method := range []Method{TraditionalCaching, DiskDirected, DiskDirectedSort, TwoPhase} {
+		for _, layout := range []pfs.LayoutKind{pfs.Contiguous, pfs.RandomBlocks} {
+			for _, pattern := range hpf.AllPatterns() {
+				for _, record := range []int{8192, 1024} {
+					cfg := smokeCfg()
+					cfg.FileBytes = 256 * 1024
+					cfg.Method, cfg.Layout, cfg.Pattern, cfg.RecordSize = method, layout, pattern, record
+					name := fmt.Sprintf("%v/%s/%v/%dB", method, pattern, layout, record)
+					classic, err := Run(cfg)
+					if err != nil {
+						t.Fatalf("%s classic: %v", name, err)
+					}
+					cfg.Workload = &workload.Spec{Phases: []workload.Phase{{Pattern: pattern}}}
+					phased, err := Run(cfg)
+					if err != nil {
+						t.Fatalf("%s one phase: %v", name, err)
+					}
+					if classic.VerifyErrors != 0 {
+						t.Errorf("%s: %d verify errors", name, classic.VerifyErrors)
+					}
+					if want := float64(cfg.FileBytes) / classic.Elapsed.Seconds() / MiB; classic.MBps != want {
+						t.Errorf("%s: classic MBps %v, want file bytes over elapsed %v", name, classic.MBps, want)
+					}
+					if classic.ReqLatency != (stats.Summary{}) {
+						t.Errorf("%s: classic run reports request latency %+v", name, classic.ReqLatency)
+					}
+					a, b := *classic, *phased
+					a.Config, b.Config = Config{}, Config{}
+					a.MBps, b.MBps = 0, 0
+					a.ReqLatency, b.ReqLatency = stats.Summary{}, stats.Summary{}
+					if !reflect.DeepEqual(a, b) {
+						t.Errorf("%s: classic and one-phase runs differ:\nclassic %+v\nphased  %+v", name, a, b)
+					}
+				}
+			}
+		}
 	}
 }

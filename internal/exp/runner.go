@@ -20,7 +20,7 @@ type CellPanicError struct {
 
 func (e *CellPanicError) Error() string {
 	return fmt.Sprintf("exp: %v/%s seed %d panicked: %v",
-		e.Config.Method, e.Config.Pattern, e.Config.Seed, e.Value)
+		e.Config.Method, e.Config.label(), e.Config.Seed, e.Value)
 }
 
 // FaultLossError reports a run that lost requests after exhausting its
@@ -28,7 +28,7 @@ func (e *CellPanicError) Error() string {
 // any injected transient error not recovered by a retry surfaces here.
 type FaultLossError struct {
 	Method       Method
-	Pattern      string
+	Cell         string // what the run transferred: its pattern or workload summary
 	Seed         int64
 	Lost         int64 // requests still failing after the retry budget
 	VerifyErrors int   // end-to-end verification failures, if verification ran
@@ -36,7 +36,7 @@ type FaultLossError struct {
 
 func (e *FaultLossError) Error() string {
 	return fmt.Sprintf("exp: %v/%s seed %d: %d disk requests lost after retry budget (%d verify errors)",
-		e.Method, e.Pattern, e.Seed, e.Lost, e.VerifyErrors)
+		e.Method, e.Cell, e.Seed, e.Lost, e.VerifyErrors)
 }
 
 // runExperiment is the cell-execution hook; tests substitute it to
@@ -179,24 +179,25 @@ func (r *Runner) safeRun(cfg Config) (res *Result, err error) {
 }
 
 // runOne executes cfgs[i] and slots its outcome. Errors are wrapped
-// with the config's method/pattern/seed so figure generators only need
+// with the config's method, label (pattern or workload) and seed so figure generators only need
 // to add the table id. A panicked cell is recorded in its error slot
 // but reported as nil here, so the remaining cells keep running; the
 // typed error surfaces from RunAll's final scan.
 func (r *Runner) runOne(cfgs []Config, i int, results []*Result, errs []error, onDone func(int, *Result)) error {
-	res, err := r.safeRun(cfgs[i])
+	cfg := &cfgs[i]
+	res, err := r.safeRun(*cfg)
 	_, panicked := err.(*CellPanicError)
 	switch {
 	case panicked:
 		// keep the typed error as-is; it already names the cell
 	case err != nil:
-		err = fmt.Errorf("%v/%s seed %d: %w", cfgs[i].Method, cfgs[i].Pattern, cfgs[i].Seed, err)
+		err = fmt.Errorf("%v/%s seed %d: %w", cfg.Method, cfg.label(), cfg.Seed, err)
 	case res.Faults.Exhausted > 0:
-		err = &FaultLossError{Method: cfgs[i].Method, Pattern: cfgs[i].Pattern, Seed: cfgs[i].Seed,
+		err = &FaultLossError{Method: cfg.Method, Cell: cfg.label(), Seed: cfg.Seed,
 			Lost: res.Faults.Exhausted, VerifyErrors: res.VerifyErrors}
 	case res.VerifyErrors > 0:
 		err = fmt.Errorf("exp: %v/%s seed %d: %d verification errors",
-			cfgs[i].Method, cfgs[i].Pattern, cfgs[i].Seed, res.VerifyErrors)
+			cfg.Method, cfg.label(), cfg.Seed, res.VerifyErrors)
 	}
 	results[i], errs[i] = res, err
 	if err == nil && onDone != nil {

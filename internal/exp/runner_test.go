@@ -1,11 +1,13 @@
 package exp
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
 
 	"ddio/internal/pfs"
+	"ddio/internal/workload"
 )
 
 // parOptions is a scaled-down figure configuration for runner tests.
@@ -97,5 +99,36 @@ func TestRunAllReportsError(t *testing.T) {
 	bad.Pattern = "zz"
 	if _, err := NewRunner(4, nil).RunAll([]Config{good, bad, good}, nil); err == nil {
 		t.Fatal("bad config accepted")
+	}
+}
+
+// Every error the runner reports for a workload cell names the
+// workload it ran, not the unused default pattern; classic cells keep
+// naming their pattern.
+func TestRunnerErrorsNameTheWorkload(t *testing.T) {
+	cfg := smokeCfg()
+	cfg.Workload = &workload.Spec{Name: "mixed", Phases: []workload.Phase{{Pattern: workload.PatternZipf, Requests: 8, Alpha: 0.5}}}
+	want := cfg.Workload.Summary()
+	outcomes := map[string]func(Config) (*Result, error){
+		"error":      func(Config) (*Result, error) { return nil, errors.New("boom") },
+		"panic":      func(Config) (*Result, error) { panic("boom") },
+		"verify":     func(c Config) (*Result, error) { return &Result{Config: c, VerifyErrors: 2}, nil },
+		"fault loss": func(c Config) (*Result, error) { return &Result{Config: c, Faults: FaultTotals{Exhausted: 1}}, nil },
+	}
+	for name, fn := range outcomes {
+		r := NewRunner(1, nil)
+		r.SetRunFunc(fn)
+		_, err := r.RunAll([]Config{cfg}, nil)
+		if err == nil || !strings.Contains(err.Error(), want) || strings.Contains(err.Error(), "/ra") {
+			t.Errorf("%s: error %v does not name workload %q", name, err, want)
+		}
+	}
+	if got := TraceTitle(cfg); !strings.Contains(got, want) {
+		t.Errorf("trace title %q does not name workload %q", got, want)
+	}
+	classic := smokeCfg()
+	classic.Pattern = "rc"
+	if got, want := TraceTitle(classic), "TC rc, random-blocks layout"; got != want {
+		t.Errorf("classic trace title %q, want %q", got, want)
 	}
 }

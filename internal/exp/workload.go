@@ -1,16 +1,11 @@
 package exp
 
 import (
-	"fmt"
-
 	"ddio/internal/cluster"
-	"ddio/internal/core"
 	"ddio/internal/hpf"
 	"ddio/internal/pfs"
 	"ddio/internal/sim"
 	"ddio/internal/tcfs"
-	"ddio/internal/trace"
-	"ddio/internal/twophase"
 	"ddio/internal/workload"
 )
 
@@ -21,301 +16,96 @@ type phaseExec struct {
 	end   func() sim.Time
 }
 
-// runWorkload executes cfg's workload: every phase in order, separated
-// by barriers, through the selected file-system method. The machine is
-// built exactly as for a classic run; all workload randomness comes
-// from dedicated "wl:*" sub-streams of the run seed, so the substrate
-// draws are untouched and results are identical for any worker count.
-func runWorkload(cfg Config) (*Result, error) {
-	shape := workload.Shape{
-		NCP:        cfg.NCP,
-		FileBytes:  cfg.FileBytes,
-		BlockSize:  cfg.BlockSize,
-		RecordSize: cfg.RecordSize,
+// resolve binds the run's workload to its geometry. A classic run is
+// one collective phase: cfg.Pattern decomposed over the whole file.
+func resolve(cfg *Config, rng *sim.Rand) (*workload.Resolved, error) {
+	if cfg.Workload.Enabled() {
+		return cfg.Workload.Resolve(workload.Shape{
+			NCP:        cfg.NCP,
+			FileBytes:  cfg.FileBytes,
+			BlockSize:  cfg.BlockSize,
+			RecordSize: cfg.RecordSize,
+		}, rng)
 	}
-	// Workload runs always time their requests (open-arrival runs are
-	// latency studies): when the caller did not attach a recorder, attach
-	// one filtered to request-end events — one retained event per
-	// request. Recorders are passive, so the event sequence and every
-	// throughput metric are identical either way.
-	latRec := cfg.Trace
-	if latRec == nil {
-		latRec = trace.NewFiltered(trace.KindReqEnd)
-		cfg.Trace = latRec
-	}
-	mc, err := buildMachine(&cfg)
+	pat, err := hpf.ParsePattern(cfg.Pattern)
 	if err != nil {
 		return nil, err
 	}
-	defer mc.Close()
-	eng, m, f := mc.eng, mc.m, mc.f
-
-	res, err := cfg.Workload.Resolve(shape, mc.rng)
+	dec, err := pat.Decomp(cfg.FileBytes, cfg.RecordSize, cfg.NCP)
 	if err != nil {
 		return nil, err
 	}
-
-	// Per-CP memory layout: each phase's application buffer, then (for
-	// two-phase I/O) its staging areas, stacked in phase order.
-	twoPhase := cfg.Method == TwoPhase
-	appBase := make([][]int64, len(res.Phases))   // [phase][cp]
-	stageBase := make([][]int64, len(res.Phases)) // [phase][cp] read staging
-	stageBaseW := make([][]int64, len(res.Phases))
-	confs := make([]*hpf.Decomp, len(res.Phases)) // collective conforming decomp
-	confR := make([]*workload.SlotAccess, len(res.Phases))
-	confW := make([]*workload.SlotAccess, len(res.Phases))
-	cur := make([]int64, cfg.NCP)
-	for i := range res.Phases {
-		ph := &res.Phases[i]
-		appBase[i] = append([]int64(nil), cur...)
-		for cp := 0; cp < cfg.NCP; cp++ {
-			cur[cp] += phaseAppBytes(ph, cp)
-		}
-		if !twoPhase {
-			continue
-		}
-		if ph.Collective {
-			rec := ph.Dec.RecordSize
-			conf, err := hpf.New1D(int(cfg.FileBytes/int64(rec)), hpf.Block, rec, cfg.NCP)
-			if err != nil {
-				return nil, err
-			}
-			confs[i] = conf
-			stageBase[i] = append([]int64(nil), cur...)
-			for cp := 0; cp < cfg.NCP; cp++ {
-				cur[cp] += conf.CPBytes(cp)
-			}
-			continue
-		}
-		if ph.ReadAcc != nil {
-			confR[i] = workload.Conforming(ph.ReadAcc, cfg.NCP)
-			stageBase[i] = append([]int64(nil), cur...)
-			for cp := 0; cp < cfg.NCP; cp++ {
-				cur[cp] += confR[i].CPBytes(cp)
-			}
-		}
-		if ph.WriteAcc != nil {
-			confW[i] = workload.Conforming(ph.WriteAcc, cfg.NCP)
-			stageBaseW[i] = append([]int64(nil), cur...)
-			for cp := 0; cp < cfg.NCP; cp++ {
-				cur[cp] += confW[i].CPBytes(cp)
-			}
-		}
+	ph := workload.ResolvedPhase{Pattern: cfg.Pattern, Collective: true, Dec: dec, Write: pat.Write}
+	for cp := 0; cp < cfg.NCP; cp++ {
+		ph.Bytes += dec.CPBytes(cp)
 	}
-	for cp, node := range m.CPs {
-		node.Mem = make([]byte, cur[cp])
-	}
-
-	// Build the method's servers once (caches and service pools persist
-	// across phases, as they would on a real machine), then one client
-	// per phase transfer.
-	phases := make([]phaseExec, len(res.Phases))
-	var collectTC, collectDD func(r *Result)
-	switch cfg.Method {
-	case TraditionalCaching:
-		servers := make([]*tcfs.Server, cfg.NIOP)
-		for i := range servers {
-			servers[i] = tcfs.NewServer(m, m.IOPs[i], f, cfg.NCP, cfg.TC)
-		}
-		collectTC = collectTCFrom(servers)
-		for i := range res.Phases {
-			ph := &res.Phases[i]
-			if ph.Collective {
-				client := tcfs.NewClient(m, f, ph.Dec, servers, cfg.TC)
-				client.SetMemBase(appBase[i])
-				write := ph.Write
-				phases[i] = phaseExec{
-					runCP: func(p *sim.Proc, cp int) { client.TransferCP(p, cp, write) },
-					end:   client.EndTime,
-				}
-				continue
-			}
-			client := tcfs.NewClient(m, f, nil, servers, cfg.TC)
-			streams := streamReqs(ph, appBase[i])
-			phases[i] = phaseExec{
-				runCP: func(p *sim.Proc, cp int) { client.StreamCP(p, cp, streams[cp]) },
-				end:   client.EndTime,
-			}
-		}
-	case DiskDirected, DiskDirectedSort:
-		prm := cfg.DD
-		prm.Presort = cfg.Method == DiskDirectedSort
-		servers := make([]*core.Server, cfg.NIOP)
-		for i := range servers {
-			servers[i] = core.NewServer(m, m.IOPs[i], f, prm)
-		}
-		collectDD = collectDDFrom(servers)
-		for i := range res.Phases {
-			ph := &res.Phases[i]
-			if ph.Collective {
-				client := core.NewClient(m, f, workload.Offset(ph.Dec, appBase[i]), servers, prm)
-				write := ph.Write
-				phases[i] = phaseExec{
-					runCP: func(p *sim.Proc, cp int) { client.CollectiveCP(p, cp, write) },
-					end:   client.EndTime,
-				}
-				continue
-			}
-			// A disk-directed collective cannot start before the phase's
-			// requests exist: each CP waits out its arrival makespan,
-			// then reads collectively, then writes collectively.
-			var rdClient, wrClient *core.Client
-			if ph.ReadAcc != nil {
-				rdClient = core.NewClient(m, f, workload.Offset(ph.ReadAcc, appBase[i]), servers, prm)
-			}
-			if ph.WriteAcc != nil {
-				wrClient = core.NewClient(m, f, workload.Offset(ph.WriteAcc, appBase[i]), servers, prm)
-			}
-			delay := ph.Delay
-			phases[i] = phaseExec{
-				runCP: func(p *sim.Proc, cp int) {
-					if delay[cp] > 0 {
-						p.Sleep(delay[cp])
-					}
-					if rdClient != nil {
-						rdClient.CollectiveCP(p, cp, false)
-					}
-					if wrClient != nil {
-						wrClient.CollectiveCP(p, cp, true)
-					}
-				},
-				end: func() sim.Time {
-					if wrClient != nil {
-						return wrClient.EndTime()
-					}
-					return rdClient.EndTime()
-				},
-			}
-		}
-	case TwoPhase:
-		servers := make([]*tcfs.Server, cfg.NIOP)
-		for i := range servers {
-			servers[i] = tcfs.NewServer(m, m.IOPs[i], f, cfg.NCP, cfg.TC)
-		}
-		collectTC = collectTCFrom(servers)
-		for i := range res.Phases {
-			ph := &res.Phases[i]
-			if ph.Collective {
-				client := twophase.NewAccessClient(m, f,
-					workload.Offset(ph.Dec, appBase[i]),
-					workload.Offset(confs[i], stageBase[i]),
-					servers, cfg.TC, cfg.TP)
-				write := ph.Write
-				phases[i] = phaseExec{
-					runCP: func(p *sim.Proc, cp int) { client.TransferCP(p, cp, write) },
-					end:   client.EndTime,
-				}
-				continue
-			}
-			var rdClient, wrClient *twophase.Client
-			if ph.ReadAcc != nil {
-				rdClient = twophase.NewAccessClient(m, f,
-					workload.Offset(ph.ReadAcc, appBase[i]),
-					workload.Offset(confR[i], stageBase[i]),
-					servers, cfg.TC, cfg.TP)
-			}
-			if ph.WriteAcc != nil {
-				wrClient = twophase.NewAccessClient(m, f,
-					workload.Offset(ph.WriteAcc, appBase[i]),
-					workload.Offset(confW[i], stageBaseW[i]),
-					servers, cfg.TC, cfg.TP)
-			}
-			delay := ph.Delay
-			phases[i] = phaseExec{
-				runCP: func(p *sim.Proc, cp int) {
-					if delay[cp] > 0 {
-						p.Sleep(delay[cp])
-					}
-					if rdClient != nil {
-						rdClient.TransferCP(p, cp, false)
-					}
-					if wrClient != nil {
-						wrClient.TransferCP(p, cp, true)
-					}
-				},
-				end: func() sim.Time {
-					if wrClient != nil {
-						return wrClient.EndTime()
-					}
-					return rdClient.EndTime()
-				},
-			}
-		}
-	default:
-		return nil, fmt.Errorf("exp: unknown method %v", cfg.Method)
-	}
-
-	// Preload the file image when anything reads; seed write buffers
-	// with the image of the ranges they will write (so written bytes
-	// are verifiable end to end).
-	anyRead := false
-	for i := range res.Phases {
-		ph := &res.Phases[i]
-		if (ph.Collective && !ph.Write) || ph.ReadAcc != nil {
-			anyRead = true
-		}
-		fillWrites(ph, appBase[i], m.CPs)
-	}
-	if anyRead {
-		f.Preload()
-	}
-
-	for cp := range m.CPs {
-		cp := cp
-		eng.Go(cpProcName(cp), func(p *sim.Proc) {
-			for i := range phases {
-				p.Sleep(cfg.BarrierCost) // collective entry cost per phase
-				phases[i].runCP(p, cp)
-			}
-		})
-	}
-	eng.Run()
-
-	var end sim.Time
-	for i := range phases {
-		if t := phases[i].end(); t > end {
-			end = t
-		}
-	}
-	if end == 0 {
-		return nil, fmt.Errorf("exp: %v workload %q did not complete; blocked procs: %v",
-			cfg.Method, cfg.Workload.Summary(), eng.BlockedProcs())
-	}
-
-	r := &Result{Config: cfg, Elapsed: end.Duration(), Events: eng.Events()}
-	r.MovedBytes = res.Bytes
-	sec := r.Elapsed.Seconds()
-	// For request streams the paper's file-bytes-over-time metric is
-	// meaningless; both throughput columns report bytes actually moved.
-	r.MBps = float64(r.MovedBytes) / sec / MiB
-	r.AggMBps = r.MBps
-	r.ReqLatency = latRec.RequestLatencies()
-
-	if cfg.Verify {
-		r.VerifyErrors = verifyWorkload(res, appBase, f, m)
-	}
-	if collectTC != nil {
-		collectTC(r)
-	}
-	if collectDD != nil {
-		collectDD(r)
-	}
-	mc.collectSubstrate(r)
-	return r, nil
+	return &workload.Resolved{Phases: []workload.ResolvedPhase{ph}, Bytes: ph.Bytes}, nil
 }
 
-// phaseAppBytes returns cp's application-buffer size for one phase.
-func phaseAppBytes(ph *workload.ResolvedPhase, cp int) int64 {
-	if ph.Collective {
-		return ph.Dec.CPBytes(cp)
+// transfer is one collective transfer of a phase: an access over the
+// phase's application buffer and, for two-phase I/O, the conforming
+// distribution it is staged through.
+type transfer struct {
+	acc   hpf.Access
+	write bool
+	conf  hpf.Access // two-phase conforming distribution, else nil
+	stage []int64    // per-CP base of conf's staging area
+}
+
+// layout is a run's per-CP memory: each phase's application buffer,
+// then (for two-phase I/O) its staging areas, stacked in phase order.
+type layout struct {
+	appBase   [][]int64    // [phase][cp] application buffer base
+	transfers [][]transfer // [phase] collective transfers, reads first
+	memBytes  []int64      // [cp] total memory
+}
+
+// layOut stacks the resolved phases' buffers in each CP's memory.
+func layOut(cfg *Config, res *workload.Resolved) (*layout, error) {
+	lay := &layout{
+		appBase:   make([][]int64, len(res.Phases)),
+		transfers: make([][]transfer, len(res.Phases)),
+		memBytes:  make([]int64, cfg.NCP),
 	}
-	var n int64
-	for _, rq := range ph.Streams[cp] {
-		if end := rq.MemOff + rq.Len; end > n {
-			n = end
+	// stack reserves a region of size(cp) bytes above each CP's current
+	// top and returns the regions' bases.
+	stack := func(size func(cp int) int64) []int64 {
+		base := append([]int64(nil), lay.memBytes...)
+		for cp := range lay.memBytes {
+			lay.memBytes[cp] += size(cp)
+		}
+		return base
+	}
+	twoPhase := cfg.Method == TwoPhase
+	for i := range res.Phases {
+		ph := &res.Phases[i]
+		lay.appBase[i] = stack(ph.CPBytes)
+		if ph.Collective {
+			x := transfer{acc: ph.Dec, write: ph.Write}
+			if twoPhase {
+				rec := ph.Dec.RecordSize
+				conf, err := hpf.New1D(int(cfg.FileBytes/int64(rec)), hpf.Block, rec, cfg.NCP)
+				if err != nil {
+					return nil, err
+				}
+				x.conf, x.stage = conf, stack(conf.CPBytes)
+			}
+			lay.transfers[i] = []transfer{x}
+			continue
+		}
+		for k, acc := range [2]*workload.SlotAccess{ph.ReadAcc, ph.WriteAcc} {
+			if acc == nil {
+				continue
+			}
+			x := transfer{acc: acc, write: k == 1}
+			if twoPhase {
+				conf := workload.Conforming(acc, cfg.NCP)
+				x.conf, x.stage = conf, stack(conf.CPBytes)
+			}
+			lay.transfers[i] = append(lay.transfers[i], x)
 		}
 	}
-	return n
+	return lay, nil
 }
 
 // streamReqs converts a phase's per-CP requests into tcfs stream
@@ -366,29 +156,32 @@ func fillWrites(ph *workload.ResolvedPhase, base []int64, cps []*cluster.Node) {
 	}
 }
 
-// verifyWorkload checks every byte the workload moved: read buffers
-// against the file image, written file ranges against the disks' final
-// contents.
+// verifyWorkload checks every byte the run moved: read buffers against
+// the file image, written file ranges against the disks' final
+// contents. A collective write covers the whole file, so it is checked
+// block by block, once.
 func verifyWorkload(res *workload.Resolved, appBase [][]int64, f *pfs.File, m *cluster.Machine) int {
 	errs := 0
 	var readBack []byte
+	fileChecked := false
 	for i := range res.Phases {
 		ph := &res.Phases[i]
 		base := appBase[i]
-		if ph.Collective {
-			if ph.Write {
+		if ph.Collective && ph.Write {
+			if !fileChecked {
+				fileChecked = true
 				if readBack == nil {
 					readBack = f.ReadBack()
 				}
-				for cp := 0; cp < len(m.CPs); cp++ {
-					for _, ch := range ph.Dec.Chunks(cp) {
-						if pfs.VerifyImage(readBack[ch.FileOff:ch.FileOff+ch.Len], ch.FileOff) >= 0 {
-							errs++
-						}
+				for off := 0; off < len(readBack); off += f.BlockSize {
+					if pfs.VerifyImage(readBack[off:off+f.BlockSize], int64(off)) >= 0 {
+						errs++
 					}
 				}
-				continue
 			}
+			continue
+		}
+		if ph.Collective {
 			for cp, node := range m.CPs {
 				for _, ch := range ph.Dec.Chunks(cp) {
 					off := base[cp] + ch.MemOff

@@ -45,30 +45,6 @@ func (d *Decomp) Chunks(cp int) []Chunk {
 	return out
 }
 
-// NumChunks returns the total chunk count across all CPs — the number of
-// file-system calls a traditional client collectively makes.
-func (d *Decomp) NumChunks() int {
-	n := 0
-	for cp := 0; cp < d.NCP; cp++ {
-		n += len(d.Chunks(cp))
-	}
-	return n
-}
-
-// ChunkBytes returns the size in bytes of the largest contiguous chunk
-// any CP owns — the paper's "cs" (in bytes rather than elements).
-func (d *Decomp) ChunkBytes() int64 {
-	var max int64
-	for cp := 0; cp < d.NCP; cp++ {
-		for _, c := range d.Chunks(cp) {
-			if c.Len > max {
-				max = c.Len
-			}
-		}
-	}
-	return max
-}
-
 // forEachOwned calls fn for each index owned by p, ascending.
 func forEachOwned(d Dim, p int, fn func(i int)) {
 	switch d.Kind {

@@ -115,19 +115,29 @@ func TestChunksIdleCPIsEmpty(t *testing.T) {
 	}
 }
 
+// chunkCount returns d's total chunk count across all CPs (the number
+// of file-system calls a traditional client collectively makes) and the
+// largest chunk any CP owns (the paper's "cs", in bytes).
+func chunkCount(d *Decomp) (n int, largest int64) {
+	for cp := 0; cp < d.NCP; cp++ {
+		for _, c := range d.Chunks(cp) {
+			n++
+			largest = max(largest, c.Len)
+		}
+	}
+	return n, largest
+}
+
 func TestNumChunksAndChunkBytes(t *testing.T) {
 	// 16 records cyclic over 4 CPs, 8-byte records: 16 chunks of 8 bytes.
 	d, _ := New1D(16, Cyclic, 8, 4)
-	if d.NumChunks() != 16 {
-		t.Fatalf("NumChunks %d", d.NumChunks())
-	}
-	if d.ChunkBytes() != 8 {
-		t.Fatalf("ChunkBytes %d", d.ChunkBytes())
+	if n, cs := chunkCount(d); n != 16 || cs != 8 {
+		t.Fatalf("cyclic: %d chunks, cs %d", n, cs)
 	}
 	// Block: 4 chunks of 32 bytes.
 	d2, _ := New1D(16, Block, 8, 4)
-	if d2.NumChunks() != 4 || d2.ChunkBytes() != 32 {
-		t.Fatalf("block: %d chunks, cs %d", d2.NumChunks(), d2.ChunkBytes())
+	if n, cs := chunkCount(d2); n != 4 || cs != 32 {
+		t.Fatalf("block: %d chunks, cs %d", n, cs)
 	}
 }
 

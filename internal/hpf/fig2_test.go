@@ -11,7 +11,7 @@ import "testing"
 // (2x2 grid for doubly-distributed matrices, 1x4 or 4x1 otherwise).
 func fig2Decomp(t *testing.T, name string) *Decomp {
 	t.Helper()
-	p := MustPattern(name)
+	p := mustPattern(t, name)
 	var records int
 	if p.TwoD {
 		records = 64
@@ -109,7 +109,7 @@ func TestFigure2RedundantPatterns(t *testing.T) {
 	for _, pair := range pairs {
 		a := fig2Decomp(t, pair[0])
 		// Build the 1-D equivalent over the matrix's record count.
-		p := MustPattern(pair[1])
+		p := mustPattern(t, pair[1])
 		b, err := p.Decomp(int64(a.NumRecords()), 1, 4)
 		if err != nil {
 			t.Fatal(err)

@@ -1,10 +1,6 @@
 package hpf
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+import "fmt"
 
 // Pattern names an access pattern in the paper's shorthand: 'r' or 'w'
 // followed by the distribution of each dimension — one letter for a
@@ -74,16 +70,6 @@ func ParsePattern(name string) (Pattern, error) {
 		return p, nil
 	}
 	return p, fmt.Errorf("hpf: bad pattern %q", name)
-}
-
-// MustPattern parses a pattern name, panicking on error (for tables of
-// literals).
-func MustPattern(name string) Pattern {
-	p, err := ParsePattern(name)
-	if err != nil {
-		panic(err)
-	}
-	return p
 }
 
 // Decomp instantiates the pattern for a file of fileBytes bytes of
@@ -179,28 +165,4 @@ func WritePatterns() []string {
 // AllPatterns returns every pattern used in Figures 3 and 4.
 func AllPatterns() []string {
 	return append(ReadPatterns(), WritePatterns()...)
-}
-
-// SortPatterns sorts pattern names in the paper's display order (reads
-// before writes, otherwise stable by the order of ReadPatterns /
-// WritePatterns, unknown names last alphabetically).
-func SortPatterns(names []string) {
-	rank := map[string]int{}
-	for i, n := range AllPatterns() {
-		rank[n] = i
-	}
-	sort.SliceStable(names, func(i, j int) bool {
-		ri, iok := rank[names[i]]
-		rj, jok := rank[names[j]]
-		switch {
-		case iok && jok:
-			return ri < rj
-		case iok:
-			return true
-		case jok:
-			return false
-		default:
-			return strings.Compare(names[i], names[j]) < 0
-		}
-	})
 }

@@ -1,9 +1,6 @@
 package hpf
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestParsePatternValid(t *testing.T) {
 	cases := []struct {
@@ -49,13 +46,14 @@ func TestParsePatternErrors(t *testing.T) {
 	}
 }
 
-func TestMustPatternPanicsOnBad(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	MustPattern("zz")
+// mustPattern parses a pattern name, failing the test on error.
+func mustPattern(t *testing.T, name string) Pattern {
+	t.Helper()
+	p, err := ParsePattern(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 func TestMatrixDims(t *testing.T) {
@@ -107,7 +105,7 @@ func TestGridDims(t *testing.T) {
 func TestPatternDecompShapes(t *testing.T) {
 	// 10 MB, 8 KB records, 16 CPs — the paper's standard setup.
 	for _, name := range AllPatterns() {
-		p := MustPattern(name)
+		p := mustPattern(t, name)
 		d, err := p.Decomp(10<<20, 8192, 16)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -130,7 +128,7 @@ func TestPatternDecompShapes(t *testing.T) {
 }
 
 func TestPatternDecompBadSizes(t *testing.T) {
-	p := MustPattern("rb")
+	p := mustPattern(t, "rb")
 	if _, err := p.Decomp(1000, 17, 4); err == nil {
 		t.Error("non-divisible record size accepted")
 	}
@@ -153,14 +151,5 @@ func TestPatternLists(t *testing.T) {
 		if _, err := ParsePattern(n); err != nil {
 			t.Fatalf("listed pattern %s does not parse: %v", n, err)
 		}
-	}
-}
-
-func TestSortPatterns(t *testing.T) {
-	names := []string{"wc", "ra", "zz", "rb", "wn"}
-	SortPatterns(names)
-	want := "ra,rb,wn,wc,zz"
-	if got := strings.Join(names, ","); got != want {
-		t.Fatalf("sorted %s, want %s", got, want)
 	}
 }

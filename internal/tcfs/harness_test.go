@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"ddio/internal/bus"
 	"ddio/internal/cluster"
 	"ddio/internal/disk"
 	"ddio/internal/hpf"
@@ -45,9 +44,9 @@ func newRig(t *testing.T, o rigOpts) *rig {
 	rng := sim.NewRand(o.seed)
 	m := cluster.New(e, netsim.DefaultConfig(), o.ncp, o.niop, rng)
 	disks := make([]*disk.Disk, o.ndisks)
-	buses := make([]*bus.Bus, o.niop)
+	buses := make([]*sim.Pipe, o.niop)
 	for i := range buses {
-		buses[i] = bus.New(e, fmt.Sprintf("bus%d", i), 10e6, 100*time.Microsecond)
+		buses[i] = sim.NewPipe(e, fmt.Sprintf("bus%d", i), 10e6, 100*time.Microsecond)
 	}
 	for d := range disks {
 		disks[d] = disk.New(e, fmt.Sprintf("d%d", d), disk.HP97560(), buses[d%o.niop], nil)
@@ -139,7 +138,11 @@ func (r *rig) totalMetrics() Metrics {
 
 func mustDecomp(t *testing.T, pattern string, fileBytes int64, recSize, ncp int) *hpf.Decomp {
 	t.Helper()
-	d, err := hpf.MustPattern(pattern).Decomp(fileBytes, recSize, ncp)
+	pat, err := hpf.ParsePattern(pattern)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := pat.Decomp(fileBytes, recSize, ncp)
 	if err != nil {
 		t.Fatal(err)
 	}

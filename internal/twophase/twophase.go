@@ -9,6 +9,15 @@
 // two-phase I/O lets the repository check the paper's §7.1 reasoning
 // (extra network traversal, unoverlapped permutation) experimentally.
 //
+// One constructor, NewClient, serves whole-file transfers and request
+// streams alike. The caller supplies the application's distribution,
+// a conforming distribution covering the same file ranges (a 1-D BLOCK
+// decomposition of the file for a whole-file transfer, the merged
+// extents of a request stream otherwise), and the per-CP base of the
+// staging area that holds the conforming buffer. The caller owns the
+// memory layout; the client applies the staging base to both the
+// conforming I/O phase and the permutation.
+//
 // Fault recovery rides on the tcfs servers this package runs its I/O
 // phase through: the bounded-retry policy of a run's fault plan (see
 // internal/fault) is armed via tcfs.Params.Retry, so degradation sweeps
@@ -51,77 +60,36 @@ func DefaultParams() Params {
 // Client orchestrates a two-phase collective transfer for all CPs.
 type Client struct {
 	m       *cluster.Machine
-	f       *pfs.File
 	target  hpf.Access // the application's true distribution
 	conf    hpf.Access // the conforming (1-D BLOCK-like) distribution
+	stage   []int64    // where conf's buffer starts in each CP's memory
 	prm     Params
 	tc      *tcfs.Client
 	barrier *sim.Barrier
 	perm    *sim.WaitGroup // permutation messages in flight
 	end     sim.Time
-	// absolute marks an access-built client (NewAccessClient): both
-	// distributions carry absolute memory offsets, so no per-CP base is
-	// added on either side.
-	absolute bool
 }
 
-// NewClient builds the two-phase client. servers are the traditional
-// caching IOPs that perform the conforming I/O phase. The staging area
-// for cp lives at stagingBase[cp] in its memory.
-func NewClient(m *cluster.Machine, f *pfs.File, target *hpf.Decomp,
-	servers []*tcfs.Server, tcPrm tcfs.Params, prm Params) (*Client, error) {
-	records := int(f.Size() / int64(target.RecordSize))
-	conf, err := hpf.New1D(records, hpf.Block, target.RecordSize, len(m.CPs))
-	if err != nil {
-		return nil, err
-	}
+// NewClient builds the two-phase client for one collective transfer.
+// target is the application's distribution, addressing CP memory
+// directly; conf is a conforming distribution covering the same file
+// ranges, whose buffer-relative offsets are staged at stage[cp] in cp's
+// memory. servers are the traditional-caching IOPs that perform the
+// conforming I/O phase.
+func NewClient(m *cluster.Machine, f *pfs.File, target, conf hpf.Access, stage []int64,
+	servers []*tcfs.Server, tcPrm tcfs.Params, prm Params) *Client {
 	c := &Client{
 		m:       m,
-		f:       f,
 		target:  target,
 		conf:    conf,
+		stage:   stage,
 		prm:     prm,
 		barrier: sim.NewBarrier(m.Eng, "2ph", len(m.CPs)),
 		perm:    sim.NewWaitGroup(m.Eng, "2ph-perm", 0),
 	}
 	c.tc = tcfs.NewClient(m, f, conf, servers, tcPrm)
-	base := make([]int64, len(m.CPs))
-	for cp := range base {
-		base[cp] = c.StagingBase(cp)
-	}
-	c.tc.SetMemBase(base)
-	return c, nil
-}
-
-// NewAccessClient builds a two-phase client over arbitrary access
-// patterns (the workload layer's request streams): target is the
-// application's pattern, conf a conforming pattern covering the same
-// file ranges. Both must carry absolute memory offsets — the staging
-// layout is the caller's, so no per-CP base is applied.
-func NewAccessClient(m *cluster.Machine, f *pfs.File, target, conf hpf.Access,
-	servers []*tcfs.Server, tcPrm tcfs.Params, prm Params) *Client {
-	c := &Client{
-		m:        m,
-		f:        f,
-		target:   target,
-		conf:     conf,
-		prm:      prm,
-		barrier:  sim.NewBarrier(m.Eng, "2ph", len(m.CPs)),
-		perm:     sim.NewWaitGroup(m.Eng, "2ph-perm", 0),
-		absolute: true,
-	}
-	c.tc = tcfs.NewClient(m, f, conf, servers, tcPrm)
+	c.tc.SetMemBase(stage)
 	return c
-}
-
-// StagingBase returns the offset of cp's conforming staging area within
-// its memory (just above the application buffer).
-func (c *Client) StagingBase(cp int) int64 { return c.target.CPBytes(cp) }
-
-// MemBytes returns the total memory cp needs: application buffer plus
-// staging — the extra memory cost of two-phase I/O the paper points out.
-func (c *Client) MemBytes(cp int) int64 {
-	return c.target.CPBytes(cp) + c.conf.CPBytes(cp)
 }
 
 // EndTime returns the coordinator-observed completion time.
@@ -193,12 +161,11 @@ func (c *Client) permute(p *sim.Proc, cp int, from, to hpf.Access) {
 }
 
 // baseFor returns where distribution d's buffer starts in cp's memory:
-// the application distribution sits at 0, the conforming one at the
-// staging base — unless the client was built over absolute-offset access
-// patterns, where both already address memory directly.
+// the conforming one at the staging base, the application distribution
+// (which addresses memory directly) at 0.
 func (c *Client) baseFor(cp int, d hpf.Access) int64 {
-	if !c.absolute && d == c.conf {
-		return c.StagingBase(cp)
+	if d == c.conf {
+		return c.stage[cp]
 	}
 	return 0
 }

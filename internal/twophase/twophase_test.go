@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"ddio/internal/bus"
 	"ddio/internal/cluster"
 	"ddio/internal/disk"
 	"ddio/internal/hpf"
@@ -28,9 +27,9 @@ func newRig(t *testing.T, ncp, niop, ndisks, blocks int, layout pfs.LayoutKind) 
 	t.Cleanup(e.Close)
 	rng := sim.NewRand(1)
 	m := cluster.New(e, netsim.DefaultConfig(), ncp, niop, rng)
-	buses := make([]*bus.Bus, niop)
+	buses := make([]*sim.Pipe, niop)
 	for i := range buses {
-		buses[i] = bus.New(e, fmt.Sprintf("bus%d", i), 10e6, 100*time.Microsecond)
+		buses[i] = sim.NewPipe(e, fmt.Sprintf("bus%d", i), 10e6, 100*time.Microsecond)
 	}
 	disks := make([]*disk.Disk, ndisks)
 	for d := range disks {
@@ -47,14 +46,29 @@ func newRig(t *testing.T, ncp, niop, ndisks, blocks int, layout pfs.LayoutKind) 
 	return &rig{eng: e, m: m, f: f, servers: servers}
 }
 
-func (r *rig) run(t *testing.T, dec *hpf.Decomp, write bool) (*Client, time.Duration) {
+// newClient builds the whole-file two-phase client for dec: the
+// conforming distribution is the file's 1-D BLOCK decomposition, staged
+// just above each CP's application buffer.
+func (r *rig) newClient(t *testing.T, dec *hpf.Decomp) (*Client, *hpf.Decomp, []int64) {
 	t.Helper()
-	client, err := NewClient(r.m, r.f, dec, r.servers, tcfs.DefaultParams(), DefaultParams())
+	conf, err := hpf.New1D(int(r.f.Size()/int64(dec.RecordSize)), hpf.Block, dec.RecordSize, len(r.m.CPs))
 	if err != nil {
 		t.Fatal(err)
 	}
+	stage := make([]int64, len(r.m.CPs))
+	for cp := range stage {
+		stage[cp] = dec.CPBytes(cp)
+	}
+	return NewClient(r.m, r.f, dec, conf, stage, r.servers, tcfs.DefaultParams(), DefaultParams()), conf, stage
+}
+
+// run transfers the whole file under dec and returns the conforming
+// distribution and its staging bases.
+func (r *rig) run(t *testing.T, dec *hpf.Decomp, write bool) (*hpf.Decomp, []int64) {
+	t.Helper()
+	client, conf, stage := r.newClient(t, dec)
 	for cp, node := range r.m.CPs {
-		node.Mem = make([]byte, client.MemBytes(cp))
+		node.Mem = make([]byte, stage[cp]+conf.CPBytes(cp))
 	}
 	if write {
 		for cp, node := range r.m.CPs {
@@ -73,12 +87,16 @@ func (r *rig) run(t *testing.T, dec *hpf.Decomp, write bool) (*Client, time.Dura
 	if client.EndTime() == 0 {
 		t.Fatalf("two-phase transfer did not complete; blocked: %v", r.eng.BlockedProcs())
 	}
-	return client, client.EndTime().Duration()
+	return conf, stage
 }
 
 func mustDecomp(t *testing.T, pattern string, fileBytes int64, recSize, ncp int) *hpf.Decomp {
 	t.Helper()
-	d, err := hpf.MustPattern(pattern).Decomp(fileBytes, recSize, ncp)
+	pat, err := hpf.ParsePattern(pattern)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := pat.Decomp(fileBytes, recSize, ncp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,20 +131,21 @@ func TestTwoPhaseWriteCorrectness(t *testing.T) {
 
 func TestTwoPhaseMemoryOverhead(t *testing.T) {
 	// Two-phase needs application buffer + conforming staging — the
-	// extra memory cost the paper's §7.1 lists against it.
+	// extra memory cost the paper's §7.1 lists against it. After a read
+	// the staging area above each application buffer holds that CP's
+	// conforming block of the file.
 	r := newRig(t, 4, 2, 4, 32, pfs.Contiguous)
 	dec := mustDecomp(t, "rc", r.f.Size(), 1024, 4)
-	client, err := NewClient(r.m, r.f, dec, r.servers, tcfs.DefaultParams(), DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for cp := 0; cp < 4; cp++ {
-		if client.MemBytes(cp) <= dec.CPBytes(cp) {
-			t.Fatalf("cp%d: two-phase memory %d not larger than app buffer %d",
-				cp, client.MemBytes(cp), dec.CPBytes(cp))
+	conf, stage := r.run(t, dec, false)
+	for cp, node := range r.m.CPs {
+		if conf.CPBytes(cp) == 0 {
+			t.Fatalf("cp%d: no staging area", cp)
 		}
-		if client.StagingBase(cp) != dec.CPBytes(cp) {
-			t.Fatalf("cp%d staging base %d", cp, client.StagingBase(cp))
+		for _, ch := range conf.Chunks(cp) {
+			off := stage[cp] + ch.MemOff
+			if i := pfs.VerifyImage(node.Mem[off:off+ch.Len], ch.FileOff); i >= 0 {
+				t.Fatalf("cp%d staging area: mismatch at %d", cp, i)
+			}
 		}
 	}
 }
@@ -168,10 +187,7 @@ func TestTwoPhaseLocalDataIsCopiedNotSent(t *testing.T) {
 func TestTwoPhaseString(t *testing.T) {
 	r := newRig(t, 2, 1, 1, 4, pfs.Contiguous)
 	dec := mustDecomp(t, "rb", r.f.Size(), 8192, 2)
-	client, err := NewClient(r.m, r.f, dec, r.servers, tcfs.DefaultParams(), DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
+	client, _, _ := r.newClient(t, dec)
 	if client.String() == "" {
 		t.Fatal("empty description")
 	}

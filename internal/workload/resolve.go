@@ -59,17 +59,9 @@ type Resolved struct {
 	Writes int   // stream write requests
 }
 
-// CPBytes returns cp's total memory footprint across all phases, with
-// per-phase buffers stacked in phase order.
-func (r *Resolved) CPBytes(cp int) int64 {
-	var n int64
-	for i := range r.Phases {
-		n += r.Phases[i].cpBytes(cp)
-	}
-	return n
-}
-
-func (ph *ResolvedPhase) cpBytes(cp int) int64 {
+// CPBytes returns cp's application-buffer size for the phase: its
+// share of a collective decomposition, or the end of its last request.
+func (ph *ResolvedPhase) CPBytes(cp int) int64 {
 	if ph.Collective {
 		return ph.Dec.CPBytes(cp)
 	}
