@@ -74,7 +74,7 @@ func bench(seed int64, n int, slots []int64, write bool) string {
 			if write {
 				d.WriteSync(p, s, data)
 			} else {
-				d.ReadSync(p, s, 16)
+				d.ReadSync(p, s, data)
 			}
 		}
 		d.Flush(p)

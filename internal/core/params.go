@@ -13,6 +13,7 @@ package core
 import (
 	"time"
 
+	"ddio/internal/disk"
 	"ddio/internal/fault"
 )
 
@@ -78,7 +79,5 @@ type Metrics struct {
 	Memputs         int64
 	Memgets         int64
 	PartialBlockRMW int64 // write blocks not fully covered by the pattern
-	DiskRetries     int64 // disk-request resubmissions after transient failures
-	DiskRecovered   int64 // failed requests that a retry eventually completed
-	DiskLost        int64 // requests still failing after the retry budget
+	disk.RetryCounts
 }

@@ -33,6 +33,7 @@ type Server struct {
 
 	localDisks                 []int            // global disk indices served by this IOP
 	pool                       *sim.ServicePool // persistent collective-request service threads
+	retry                      disk.Retrier     // bounded-retry policy for every disk request
 	bufNames                   [][]string       // precomputed buffer-thread proc names [localDisk][buffer]
 	deliveredName, workersName string           // precomputed per-request WaitGroup names
 	rec                        *trace.Recorder  // event tracing, nil when disabled
@@ -54,6 +55,7 @@ func NewServer(m *cluster.Machine, node *cluster.Node, f *pfs.File, prm Params) 
 	s := &Server{m: m, node: node, f: f, prm: prm}
 	s.rec = m.Eng.Recorder()
 	s.traceName = node.String()
+	s.retry = disk.Retrier{Policy: prm.Retry, Counts: &s.m2.RetryCounts, Rec: s.rec, Node: s.traceName}
 	for d := range f.Disks {
 		if d%len(m.IOPs) == node.Index {
 			s.localDisks = append(s.localDisks, d)
@@ -160,46 +162,6 @@ func (s *Server) serve(p *sim.Proc, req *collReq) {
 	s.m.SendC(s.node, req.src, 0, s.prm.RequestCPU, req.done.DoneC())
 }
 
-// diskRead is ReadSync with the server's bounded-retry policy: a
-// transient failure sleeps the policy's (doubling) backoff in simulated
-// time and resubmits, up to Retry.Limit times. Exhaustion is counted as
-// a lost request — the experiment layer reports it as a typed failure,
-// never silent loss.
-func (s *Server) diskRead(w *sim.Proc, dd *disk.Disk, lbn, count int64) ([]byte, error) {
-	data, err := dd.TryReadSync(w, lbn, count)
-	for attempt := 1; err != nil && attempt <= s.prm.Retry.Limit; attempt++ {
-		s.m2.DiskRetries++
-		t0 := w.Now()
-		w.Sleep(s.prm.Retry.BackoffFor(attempt))
-		s.rec.Retry(s.traceName, int64(t0), int64(w.Now()), attempt)
-		if data, err = dd.TryReadSync(w, lbn, count); err == nil {
-			s.m2.DiskRecovered++
-		}
-	}
-	if err != nil {
-		s.m2.DiskLost++
-	}
-	return data, err
-}
-
-// diskWrite is WriteSync under the same bounded-retry policy.
-func (s *Server) diskWrite(w *sim.Proc, dd *disk.Disk, lbn int64, data []byte) error {
-	err := dd.TryWriteSync(w, lbn, data)
-	for attempt := 1; err != nil && attempt <= s.prm.Retry.Limit; attempt++ {
-		s.m2.DiskRetries++
-		t0 := w.Now()
-		w.Sleep(s.prm.Retry.BackoffFor(attempt))
-		s.rec.Retry(s.traceName, int64(t0), int64(w.Now()), attempt)
-		if err = dd.TryWriteSync(w, lbn, data); err == nil {
-			s.m2.DiskRecovered++
-		}
-	}
-	if err != nil {
-		s.m2.DiskLost++
-	}
-	return err
-}
-
 // blockIter hands out blocks of one disk's plan to its buffer threads;
 // with two threads this is the paper's double buffering ("letting the
 // disk thread choose which block to transfer next" — the shared queue
@@ -218,26 +180,26 @@ func (it *blockIter) take() (int, bool) {
 	return b, true
 }
 
-// readLoop: disk → buffer → Memputs to the destination CPs.
+// readLoop: disk → buffer → Memputs to the destination CPs. The thread
+// owns its block buffer for life: one of the paper's buffers per disk.
 func (s *Server) readLoop(w *sim.Proc, dd *disk.Disk, it *blockIter, dec hpf.Access, delivered *sim.WaitGroup) {
 	bs := int64(s.f.BlockSize)
+	buf := make([]byte, bs)
 	for {
 		b, ok := it.take()
 		if !ok {
 			return
 		}
 		s.m2.Blocks++
-		data, err := s.diskRead(w, dd, s.f.LBN(b), s.f.SectorsPerBlock())
-		if err != nil {
+		if s.retry.Do(w, dd, false, s.f.LBN(b), buf) != nil {
 			// Retry budget exhausted: the block is lost (counted in
 			// DiskLost and surfaced as a typed failure by the runner);
-			// nothing was read, so there is no data to deliver or recycle.
+			// nothing was read, so there is no data to deliver.
 			continue
 		}
 		runs := dec.RunsInRange(int64(b)*bs, bs)
 		if s.prm.GatherScatter {
-			s.memputGather(w, b, data, runs, delivered)
-			dd.Recycle(data)
+			s.memputGather(w, b, buf, runs, delivered)
 			continue
 		}
 		sent := sim.NewWaitGroup(s.m.Eng, "dd-sent", 0)
@@ -245,19 +207,22 @@ func (s *Server) readLoop(w *sim.Proc, dd *disk.Disk, it *blockIter, dec hpf.Acc
 			s.m2.Memputs++
 			delivered.Add(1)
 			sent.Add(1)
-			piece := data[r.FileOff-int64(b)*bs : r.FileOff-int64(b)*bs+r.Len]
+			piece := buf[r.FileOff-int64(b)*bs : r.FileOff-int64(b)*bs+r.Len]
 			s.m.Memput(s.node, s.m.CPs[r.CP], int(r.MemOff), piece, s.prm.MemputCPU,
 				sent.DoneC(), delivered.DoneC())
 		}
 		// The buffer is reusable once the NIC has drained it.
 		sent.Wait(w)
-		dd.Recycle(data)
 	}
 }
 
-// writeLoop: Memgets from the source CPs → buffer → disk.
+// writeLoop: Memgets from the source CPs → buffer → disk. Like readLoop
+// the thread owns its block buffer; a second one, for the old contents
+// of partly covered blocks, is allocated on the first such block.
 func (s *Server) writeLoop(w *sim.Proc, dd *disk.Disk, it *blockIter, dec hpf.Access, delivered *sim.WaitGroup) {
 	bs := int64(s.f.BlockSize)
+	buf := make([]byte, bs)
+	var old []byte
 	for {
 		b, ok := it.take()
 		if !ok {
@@ -265,9 +230,8 @@ func (s *Server) writeLoop(w *sim.Proc, dd *disk.Disk, it *blockIter, dec hpf.Ac
 		}
 		s.m2.Blocks++
 		runs := dec.RunsInRange(int64(b)*bs, bs)
-		// Scratch block from the disk's free list; only run-covered bytes
-		// are ever read out of it, so no clearing is needed.
-		buf := dd.Buffer(s.f.BlockSize)
+		// Only run-covered bytes are ever read out of buf, so the
+		// previous block's bytes need no clearing.
 		covered := coveredBytes(runs)
 		arrived := sim.NewWaitGroup(s.m.Eng, "dd-arrived", 0)
 		if s.prm.GatherScatter {
@@ -282,25 +246,27 @@ func (s *Server) writeLoop(w *sim.Proc, dd *disk.Disk, it *blockIter, dec hpf.Ac
 			}
 		}
 		arrived.Wait(w)
+		out := buf
 		if covered < bs {
 			// The pattern does not cover the whole block: preserve the
 			// uncovered bytes (read-modify-write) by overlaying the
 			// fetched runs onto the block's current contents.
 			s.m2.PartialBlockRMW++
-			if old, err := s.diskRead(w, dd, s.f.LBN(b), s.f.SectorsPerBlock()); err == nil {
+			if old == nil {
+				old = make([]byte, bs)
+			}
+			if s.retry.Do(w, dd, false, s.f.LBN(b), old) == nil {
 				blockOff := int64(b) * bs
 				for _, r := range runs {
 					copy(old[r.FileOff-blockOff:r.FileOff-blockOff+r.Len], buf[r.FileOff-blockOff:r.FileOff-blockOff+r.Len])
 				}
-				dd.Recycle(buf)
-				buf = old
+				out = old
 			}
 			// On a lost RMW read the fetched runs are written as-is: the
 			// loss of the uncovered bytes is already counted in DiskLost
 			// and reported as a typed failure.
 		}
-		s.diskWrite(w, dd, s.f.LBN(b), buf)
-		dd.Recycle(buf)
+		s.retry.Do(w, dd, true, s.f.LBN(b), out)
 		// Durability is awaited via disk.Flush in serve; 'delivered' is
 		// only tracked for reads.
 	}

@@ -16,14 +16,14 @@ import (
 // of the same request may succeed.
 var ErrTransient = errors.New("disk: transient request failure")
 
-// Request is one I/O command issued to a disk. Reads fill Data at
-// completion with a transfer buffer drawn from the disk's free list (the
-// receiver owns it; see Disk.Recycle); writes consume Data (which must
-// hold Count*SectorSize bytes and is copied, so the caller keeps
-// ownership). OnDone, if set, is invoked when the drive reports
-// completion — for writes this is when the data is accepted into the
-// drive's write-behind buffer, matching an "immediate report" drive; use
-// Flush to wait for media durability.
+// Request is one I/O command issued to a disk. Data belongs to the
+// caller and must hold Count*SectorSize bytes: a read fills it at
+// completion, a write's bytes are copied into the drive's store when
+// the drive serves it (so Data must stay unchanged until OnDone).
+// OnDone, if set, is invoked when the drive reports completion — for
+// writes this is when the data is accepted into the drive's write-behind
+// buffer, matching an "immediate report" drive; use Flush to wait for
+// media durability.
 type Request struct {
 	Write  bool
 	LBN    int64 // starting sector
@@ -31,7 +31,7 @@ type Request struct {
 	Data   []byte
 	OnDone func(t sim.Time)
 	// Err is set (to ErrTransient) before OnDone when fault injection
-	// failed the request; Data is nil and no media state changed.
+	// failed the request; Data is untouched and no media state changed.
 	Err error
 
 	cyl int64
@@ -67,14 +67,13 @@ type Disk struct {
 	wb    wcache
 	sched Scheduler
 
-	curCyl  int64
-	queue   []*Request
-	queued  *sim.Cond
-	m       Metrics
-	storage map[int64]sector  // sector LBN -> stored bytes + backing ref
-	pool    Pool              // free-listed transfer buffers (see pool.go)
-	rec     *trace.Recorder   // event tracing, nil when disabled
-	faults  *fault.DiskFaults // fault injection, nil when disabled
+	curCyl int64
+	queue  []*Request
+	queued *sim.Cond
+	m      Metrics
+	pages  map[int64][]byte  // stored bytes by page index (see storage.go)
+	rec    *trace.Recorder   // event tracing, nil when disabled
+	faults *fault.DiskFaults // fault injection, nil when disabled
 }
 
 // New creates a disk and starts its server process on the engine. bus is
@@ -90,14 +89,14 @@ func New(e *sim.Engine, name string, spec *Spec, bus *sim.Pipe, sched Scheduler)
 		sched = FCFS{}
 	}
 	d := &Disk{
-		Name:    name,
-		Spec:    spec,
-		eng:     e,
-		bus:     bus,
-		g:       newGeom(spec),
-		sched:   sched,
-		storage: make(map[int64]sector),
-		rec:     e.Recorder(),
+		Name:  name,
+		Spec:  spec,
+		eng:   e,
+		bus:   bus,
+		g:     newGeom(spec),
+		sched: sched,
+		pages: make(map[int64][]byte),
+		rec:   e.Recorder(),
 	}
 	d.rec.RegisterDisk(name)
 	d.cache = newRACache(d.g)
@@ -119,8 +118,8 @@ func (d *Disk) SetFaults(f *fault.DiskFaults) { d.faults = f }
 // the disk's scheduler. May be called from proc or event context.
 func (d *Disk) Submit(r *Request) {
 	d.g.check(r.LBN, r.Count)
-	if r.Write && int64(len(r.Data)) != r.Count*int64(d.Spec.SectorSize) {
-		panic(fmt.Sprintf("disk %s: write of %d sectors with %d data bytes", d.Name, r.Count, len(r.Data)))
+	if int64(len(r.Data)) != r.Count*int64(d.Spec.SectorSize) {
+		panic(fmt.Sprintf("disk %s: request of %d sectors with %d data bytes", d.Name, r.Count, len(r.Data)))
 	}
 	r.cyl, _, _ = d.g.decompose(r.LBN)
 	r.enq = d.eng.Now()
@@ -129,46 +128,77 @@ func (d *Disk) Submit(r *Request) {
 	d.queued.Signal()
 }
 
-// TryReadSync submits a read and blocks p until it completes, returning
-// the data or the request's failure (ErrTransient under fault
-// injection). Callers that retry use this; ReadSync panics instead.
-func (d *Disk) TryReadSync(p *sim.Proc, lbn, count int64) ([]byte, error) {
-	done := sim.NewWaitGroup(d.eng, "diskread", 1)
-	r := &Request{LBN: lbn, Count: count, OnDone: func(sim.Time) { done.Done() }}
-	d.Submit(r)
-	done.Wait(p)
-	return r.Data, r.Err
-}
-
-// ReadSync submits a read and blocks p until it completes, returning the
-// data. A failed request panics: callers without a retry loop must not
-// silently read nothing, and without fault injection requests cannot
-// fail.
-func (d *Disk) ReadSync(p *sim.Proc, lbn, count int64) []byte {
-	data, err := d.TryReadSync(p, lbn, count)
-	if err != nil {
-		panic(fmt.Sprintf("disk %s: unretried read failure: %v", d.Name, err))
+// trySync submits a read into buf or a write of buf at sector lbn and
+// blocks p until the drive completes it, returning the request's
+// failure (ErrTransient under fault injection).
+func (d *Disk) trySync(p *sim.Proc, write bool, lbn int64, buf []byte) error {
+	name := "diskread"
+	if write {
+		name = "diskwrite"
 	}
-	return data
-}
-
-// TryWriteSync submits a write and blocks p until the drive accepts it
-// or reports a transient failure.
-func (d *Disk) TryWriteSync(p *sim.Proc, lbn int64, data []byte) error {
-	done := sim.NewWaitGroup(d.eng, "diskwrite", 1)
-	r := &Request{Write: true, LBN: lbn, Count: int64(len(data) / d.Spec.SectorSize), Data: data,
+	done := sim.NewWaitGroup(d.eng, name, 1)
+	r := &Request{Write: write, LBN: lbn, Count: int64(len(buf) / d.Spec.SectorSize), Data: buf,
 		OnDone: func(sim.Time) { done.Done() }}
 	d.Submit(r)
 	done.Wait(p)
 	return r.Err
 }
 
+// ReadSync fills dst from sector lbn on, blocking p until the read
+// completes. A failed request panics: callers without a retry loop must
+// not silently read nothing, and without fault injection requests
+// cannot fail. Servers that retry use Retrier.Do instead.
+func (d *Disk) ReadSync(p *sim.Proc, lbn int64, dst []byte) {
+	if err := d.trySync(p, false, lbn, dst); err != nil {
+		panic(fmt.Sprintf("disk %s: unretried read failure: %v", d.Name, err))
+	}
+}
+
 // WriteSync submits a write and blocks p until the drive accepts it,
 // panicking on an unretried failure (see ReadSync).
 func (d *Disk) WriteSync(p *sim.Proc, lbn int64, data []byte) {
-	if err := d.TryWriteSync(p, lbn, data); err != nil {
+	if err := d.trySync(p, true, lbn, data); err != nil {
 		panic(fmt.Sprintf("disk %s: unretried write failure: %v", d.Name, err))
 	}
+}
+
+// RetryCounts tallies one server's resubmissions of transiently failed
+// disk requests.
+type RetryCounts struct {
+	DiskRetries   int64 // disk-request resubmissions after transient failures
+	DiskRecovered int64 // failed requests that a retry eventually completed
+	DiskLost      int64 // requests still failing after the retry budget
+}
+
+// Retrier is a file-system server's bounded-retry policy for its
+// synchronous disk requests.
+type Retrier struct {
+	Policy fault.RetryPolicy
+	Counts *RetryCounts    // where resubmissions and outcomes are tallied
+	Rec    *trace.Recorder // retry spans, nil when tracing is off
+	Node   string          // the server's trace label
+}
+
+// Do reads into buf (or writes buf) at sector lbn of d, blocking p. A
+// transient failure sleeps the policy's doubling backoff in simulated
+// time and resubmits, up to Policy.Limit times. Exhaustion is counted
+// as a lost request and returned; the experiment layer reports it as a
+// typed failure, never silent loss. A lost read leaves buf untouched.
+func (rt *Retrier) Do(p *sim.Proc, d *Disk, write bool, lbn int64, buf []byte) error {
+	err := d.trySync(p, write, lbn, buf)
+	for attempt := 1; err != nil && attempt <= rt.Policy.Limit; attempt++ {
+		rt.Counts.DiskRetries++
+		t0 := p.Now()
+		p.Sleep(rt.Policy.BackoffFor(attempt))
+		rt.Rec.Retry(rt.Node, int64(t0), int64(p.Now()), attempt)
+		if err = d.trySync(p, write, lbn, buf); err == nil {
+			rt.Counts.DiskRecovered++
+		}
+	}
+	if err != nil {
+		rt.Counts.DiskLost++
+	}
+	return err
 }
 
 // Flush blocks p until the write-behind buffer has drained to media and
@@ -262,7 +292,7 @@ func (d *Disk) serveRead(p *sim.Proc, r *Request) {
 	if d.bus != nil {
 		d.bus.Use(p, int(r.Count)*d.Spec.SectorSize)
 	}
-	r.Data = d.ReadData(r.LBN, r.Count)
+	d.ReadData(r.LBN, r.Data)
 }
 
 func (d *Disk) serveWrite(p *sim.Proc, r *Request) {

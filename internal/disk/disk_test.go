@@ -18,6 +18,13 @@ func newTestDisk(t *testing.T, spec *Spec) (*sim.Engine, *Disk) {
 	return e, d
 }
 
+// readSectors reads count sectors from lbn into a fresh buffer.
+func readSectors(p *sim.Proc, d *Disk, lbn, count int64) []byte {
+	buf := make([]byte, count*int64(d.Spec.SectorSize))
+	d.ReadSync(p, lbn, buf)
+	return buf
+}
+
 func TestReadWriteRoundTripData(t *testing.T) {
 	e, d := newTestDisk(t, HP97560())
 	payload := make([]byte, 16*512)
@@ -28,7 +35,7 @@ func TestReadWriteRoundTripData(t *testing.T) {
 	e.Go("t", func(p *sim.Proc) {
 		d.WriteSync(p, 4096, payload)
 		d.Flush(p)
-		got = d.ReadSync(p, 4096, 16)
+		got = readSectors(p, d, 4096, 16)
 	})
 	e.Run()
 	if !bytes.Equal(got, payload) {
@@ -39,7 +46,7 @@ func TestReadWriteRoundTripData(t *testing.T) {
 func TestUnwrittenSectorsReadZero(t *testing.T) {
 	e, d := newTestDisk(t, HP97560())
 	var got []byte
-	e.Go("t", func(p *sim.Proc) { got = d.ReadSync(p, 100, 4) })
+	e.Go("t", func(p *sim.Proc) { got = readSectors(p, d, 100, 4) })
 	e.Run()
 	for _, b := range got {
 		if b != 0 {
@@ -54,7 +61,7 @@ func TestSequentialReadApproachesSustainedRate(t *testing.T) {
 	var end sim.Time
 	e.Go("t", func(p *sim.Proc) {
 		for b := int64(0); b < blocks; b++ {
-			d.ReadSync(p, b*16, 16)
+			readSectors(p, d, b*16, 16)
 		}
 		end = p.Now()
 	})
@@ -100,7 +107,7 @@ func TestRandomReadsCostSeekPlusRotation(t *testing.T) {
 	e.Go("t", func(p *sim.Proc) {
 		for i := 0; i < n; i++ {
 			slot := rng.Int63n(d.Spec.TotalSectors()/16 - 1)
-			d.ReadSync(p, slot*16, 16)
+			readSectors(p, d, slot*16, 16)
 		}
 		end = p.Now()
 	})
@@ -135,7 +142,7 @@ func TestSortedReadsBeatUnsorted(t *testing.T) {
 		var end sim.Time
 		e.Go("t", func(p *sim.Proc) {
 			for _, s := range slots {
-				d.ReadSync(p, s, 16)
+				readSectors(p, d, s, 16)
 			}
 			end = p.Now()
 		})
@@ -154,12 +161,12 @@ func TestCacheHitIsMechanicallyFree(t *testing.T) {
 	var first, second time.Duration
 	e.Go("t", func(p *sim.Proc) {
 		t0 := p.Now()
-		d.ReadSync(p, 0, 16)
+		readSectors(p, d, 0, 16)
 		first = time.Duration(p.Now() - t0)
 		// Wait for read-ahead to cover the next block, then re-read it.
 		p.Sleep(100 * time.Millisecond)
 		t1 := p.Now()
-		d.ReadSync(p, 16, 16)
+		readSectors(p, d, 16, 16)
 		second = time.Duration(p.Now() - t1)
 	})
 	e.Run()
@@ -176,9 +183,9 @@ func TestReadAheadDisabledByZeroSegment(t *testing.T) {
 	spec.CacheSegmentSectors = 0
 	e, d := newTestDisk(t, spec)
 	e.Go("t", func(p *sim.Proc) {
-		d.ReadSync(p, 0, 16)
+		readSectors(p, d, 0, 16)
 		p.Sleep(50 * time.Millisecond)
-		d.ReadSync(p, 16, 16)
+		readSectors(p, d, 16, 16)
 	})
 	e.Run()
 	m := d.Metrics()
@@ -209,10 +216,10 @@ func TestWriteInvalidatesOverlappingReadCache(t *testing.T) {
 	}
 	var got []byte
 	e.Go("t", func(p *sim.Proc) {
-		d.ReadSync(p, 0, 16)     // populates cache with zeros
+		readSectors(p, d, 0, 16) // populates cache with zeros
 		d.WriteSync(p, 0, fresh) // overwrite same block
 		d.Flush(p)
-		got = d.ReadSync(p, 0, 16)
+		got = readSectors(p, d, 0, 16)
 	})
 	e.Run()
 	if !bytes.Equal(got, fresh) {
@@ -283,7 +290,7 @@ func TestSchedulerFCFS(t *testing.T) {
 func TestOnDoneCallbackFires(t *testing.T) {
 	e, d := newTestDisk(t, HP97560())
 	var doneAt sim.Time
-	d.Submit(&Request{LBN: 0, Count: 16, OnDone: func(tt sim.Time) { doneAt = tt }})
+	d.Submit(&Request{LBN: 0, Count: 16, Data: make([]byte, 16*512), OnDone: func(tt sim.Time) { doneAt = tt }})
 	e.Run()
 	if doneAt == 0 {
 		t.Fatal("OnDone never fired")
@@ -304,7 +311,7 @@ func TestWriteWrongLengthPanics(t *testing.T) {
 func TestMetricsCountOps(t *testing.T) {
 	e, d := newTestDisk(t, HP97560())
 	e.Go("t", func(p *sim.Proc) {
-		d.ReadSync(p, 0, 16)
+		readSectors(p, d, 0, 16)
 		d.WriteSync(p, 320, make([]byte, 16*512))
 		d.Flush(p)
 	})
@@ -316,8 +323,8 @@ func TestMetricsCountOps(t *testing.T) {
 	if m.SectorsRead != 16 || m.SectorsWrite != 16 {
 		t.Fatalf("sectors %d/%d", m.SectorsRead, m.SectorsWrite)
 	}
-	if len(d.storage) != 16 {
-		t.Fatalf("stored %d sectors", len(d.storage))
+	if len(d.pages) != 1 { // the read stores nothing; the write fills one page
+		t.Fatalf("stored %d pages", len(d.pages))
 	}
 }
 

@@ -1,80 +1,57 @@
 package disk
 
-// Byte storage behind the mechanical model. Contents are kept per sector
-// so experiments can verify end-to-end data integrity; unwritten sectors
-// read as zeros.
+// Byte storage behind the mechanical model, kept so experiments can
+// verify end-to-end data integrity. The caller owns every buffer: reads
+// fill the caller's destination, writes copy the caller's bytes in.
 //
-// Both directions run over the disk's buffer free-list (see pool.go):
-// reads fill a recycled transfer buffer, and writes keep their backing
-// array alive only while at least one of its sectors is still current —
-// overwriting the last live sector of an old write returns its array to
-// the free list.
+// The store is a sparse map of fixed-size pages, each allocated zeroed
+// on the first write that touches it and written in place afterwards,
+// so unwritten sectors read as zeros and a rewrite allocates nothing.
 
-// sector is one stored sector: its bytes plus a reference to the write
-// whose backing array holds them (for free-list accounting).
-type sector struct {
-	data []byte
-	src  *wbuf
-}
+// pageSectors is the number of sectors per storage page: one default
+// 8 KiB file block of 512-byte sectors, so a block-aligned block write
+// touches exactly one page.
+const pageSectors = 16
 
-// wbuf is the backing array of one WriteData call, reference-counted by
-// the number of its sectors still present in the storage map.
-type wbuf struct {
-	buf  []byte
-	live int
-}
-
-// WriteData stores bytes at the given sector without simulating any time
-// (used both by the write path and to preload file images before a run).
-// The data is copied; the caller keeps ownership of data.
+// WriteData stores data at sector lbn without simulating any time (used
+// both by the write path and to preload file images before a run). The
+// bytes are copied; the caller keeps ownership of data.
 func (d *Disk) WriteData(lbn int64, data []byte) {
-	ss := d.Spec.SectorSize
-	if len(data)%ss != 0 {
-		panic("disk: WriteData length not sector-aligned")
-	}
-	// One pooled backing array per call, subsliced per sector. Stored
-	// sectors are never mutated in place (a later write replaces the map
-	// entry), so sharing the backing array between sectors is safe.
-	buf := d.pool.Get(len(data))
-	copy(buf, data)
-	src := &wbuf{buf: buf, live: len(data) / ss}
-	for off := 0; off < len(data); off += ss {
-		l := lbn + int64(off/ss)
-		if old, ok := d.storage[l]; ok && old.src != nil {
-			old.src.live--
-			if old.src.live == 0 {
-				d.pool.Put(old.src.buf)
-			}
+	off, ps := d.byteSpan(lbn, len(data))
+	for len(data) > 0 {
+		page := d.pages[off/ps]
+		if page == nil {
+			page = make([]byte, ps)
+			d.pages[off/ps] = page
 		}
-		d.storage[l] = sector{data: buf[off : off+ss : off+ss], src: src}
+		n := copy(page[off%ps:], data)
+		data = data[n:]
+		off += int64(n)
 	}
 }
 
-// ReadData returns the bytes in sectors [lbn, lbn+count) in a transfer
-// buffer drawn from the disk's free list. The buffer is owned by the
-// caller; pass it to Recycle once its contents are no longer referenced
-// to keep the free list warm (dropping it instead is safe but allocates).
-func (d *Disk) ReadData(lbn, count int64) []byte {
-	ss := d.Spec.SectorSize
-	out := d.pool.Get(int(count) * ss)
-	for i := int64(0); i < count; i++ {
-		dst := out[int(i)*ss : int(i+1)*ss]
-		if s, ok := d.storage[lbn+i]; ok {
-			copy(dst, s.data)
+// ReadData fills dst with the bytes stored from sector lbn on, without
+// simulating any time.
+func (d *Disk) ReadData(lbn int64, dst []byte) {
+	off, ps := d.byteSpan(lbn, len(dst))
+	for len(dst) > 0 {
+		n := min(int64(len(dst)), ps-off%ps)
+		if page := d.pages[off/ps]; page != nil {
+			copy(dst[:n], page[off%ps:])
 		} else {
-			clear(dst) // pooled buffers carry stale bytes
+			clear(dst[:n])
 		}
+		dst = dst[n:]
+		off += n
 	}
-	return out
 }
 
-// Buffer returns an n-byte scratch buffer from the disk's free list with
-// unspecified contents, for callers staging data they will hand to
-// WriteData. Pass it to Recycle when done.
-func (d *Disk) Buffer(n int) []byte { return d.pool.Get(n) }
-
-// Recycle returns a buffer obtained from ReadData, ReadSync, or Buffer
-// to the disk's free list. The caller must not retain any reference into
-// the buffer (including subslices) afterwards; a recycled buffer is
-// reused verbatim by a later read or write.
-func (d *Disk) Recycle(buf []byte) { d.pool.Put(buf) }
+// byteSpan returns the byte offset of sector lbn and the page size,
+// checking that n bytes are whole sectors.
+func (d *Disk) byteSpan(lbn int64, n int) (off, pageSize int64) {
+	ss := d.Spec.SectorSize
+	if n%ss != 0 {
+		panic("disk: data length not sector-aligned")
+	}
+	return lbn * int64(ss), int64(pageSectors * ss)
+}

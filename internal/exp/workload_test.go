@@ -225,3 +225,29 @@ func TestWLRateAxis(t *testing.T) {
 		t.Error("wlrate axis without a workload template accepted")
 	}
 }
+
+// TestTCMixedSubBlockStreamVerifies: reads and writes of 512-byte
+// records sharing blocks under traditional caching. A write installs a
+// cache frame without reading the disk; a read that hits that frame
+// must see the disk's bytes under the unwritten part, not a zeroed
+// frame.
+func TestTCMixedSubBlockStreamVerifies(t *testing.T) {
+	spec, err := workload.Parse([]byte(`{"phases":[{"pattern":"uniform","requests":256,` +
+		`"read_fraction":0.5,"record_size":512,"arrival":"poisson","rate_per_sec":1000}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.FileBytes = 4 * MiB
+	cfg.Workload = spec
+	r, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.VerifyErrors > 0 {
+		t.Fatalf("%d verification errors", r.VerifyErrors)
+	}
+	if r.TC.Reads == 0 || r.TC.Writes == 0 {
+		t.Fatalf("stream not mixed: %d reads, %d writes", r.TC.Reads, r.TC.Writes)
+	}
+}

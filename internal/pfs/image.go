@@ -11,23 +11,11 @@ func ByteAt(off int64) byte {
 	return byte(v >> 24)
 }
 
-// Image returns the image bytes for file range [off, off+n).
-func Image(off int64, n int) []byte {
-	out := make([]byte, n)
-	FillImage(out, off)
-	return out
-}
-
 // FillImage writes the image for the range starting at off into dst.
 func FillImage(dst []byte, off int64) {
 	for i := range dst {
 		dst[i] = ByteAt(off + int64(i))
 	}
-}
-
-// BlockImage returns the image of file block b for the given block size.
-func BlockImage(b, blockSize int) []byte {
-	return Image(int64(b)*int64(blockSize), blockSize)
 }
 
 // VerifyImage reports the first mismatching index (or -1) comparing data

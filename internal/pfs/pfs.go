@@ -138,8 +138,10 @@ func (f *File) LocalBlocks(d int) []int {
 // Preload writes the deterministic file image to the disks directly,
 // without simulating any I/O time, to set up read experiments.
 func (f *File) Preload() {
+	buf := make([]byte, f.BlockSize)
 	for b := 0; b < f.NumBlocks; b++ {
-		f.Disks[f.DiskOf(b)].WriteData(f.LBN(b), BlockImage(b, f.BlockSize))
+		FillImage(buf, int64(b)*int64(f.BlockSize))
+		f.Disks[f.DiskOf(b)].WriteData(f.LBN(b), buf)
 	}
 }
 
@@ -148,8 +150,7 @@ func (f *File) Preload() {
 func (f *File) ReadBack() []byte {
 	out := make([]byte, f.Size())
 	for b := 0; b < f.NumBlocks; b++ {
-		data := f.Disks[f.DiskOf(b)].ReadData(f.LBN(b), f.sectorsPerBlock)
-		copy(out[b*f.BlockSize:], data)
+		f.Disks[f.DiskOf(b)].ReadData(f.LBN(b), out[b*f.BlockSize:(b+1)*f.BlockSize])
 	}
 	return out
 }

@@ -15,25 +15,29 @@ const (
 
 // buffer is one block-sized cache frame.
 type buffer struct {
-	block    int // file block held, -1 when free
-	data     []byte
-	written  []bool // per-byte dirty bitmap (write-behind)
-	dirty    int    // count of dirty bytes
+	block   int    // file block held, -1 when free
+	data    []byte // allocated on the frame's first use
+	written []bool // per-byte dirty bitmap (write-behind)
+	dirty   int    // count of dirty bytes
+	// partial marks a frame installed by a write: only its written bytes
+	// are valid until fill merges the disk block under the rest.
+	partial  bool
 	state    bufState
 	flushing bool
 	pins     int
 	lastUse  sim.Time
+	// scratch receives fill's disk read and then the flush snapshot (a
+	// pinned writer may still be copying into data while a flush runs).
+	// Allocated on first use; fill and flush never overlap on a frame.
+	scratch []byte
 }
 
-func (b *buffer) reset(blockSize int) {
+// reset frees the frame, keeping its byte buffers for the next block.
+func (b *buffer) reset() {
 	b.block = -1
-	if b.data == nil {
-		b.data = make([]byte, blockSize)
-	} else {
-		clear(b.data) // keep the frame; a fresh frame reads as zeros
-	}
 	b.written = nil
 	b.dirty = 0
+	b.partial = false
 	b.state = bufFree
 	b.flushing = false
 	b.pins = 0
@@ -65,8 +69,7 @@ func newBlockCache(s *Server, frames, blockSize int) *blockCache {
 	}
 	c.bufs = make([]*buffer, frames)
 	for i := range c.bufs {
-		c.bufs[i] = &buffer{}
-		c.bufs[i].reset(blockSize)
+		c.bufs[i] = &buffer{block: -1}
 	}
 	return c
 }
@@ -82,16 +85,24 @@ func (c *blockCache) noteOccupancy(t sim.Time) {
 }
 
 // getRead returns a pinned, valid buffer holding block, reading it from
-// disk on a miss. The caller must unpin.
+// disk on a miss or to fill a partial frame. The caller must unpin.
 func (c *blockCache) getRead(p *sim.Proc, block int) *buffer {
 	for {
 		if b := c.index[block]; b != nil {
 			b.pins++
-			for b.state == bufReading {
+			for b.state == bufReading || b.partial && b.flushing {
 				c.changed.Wait(p)
 			}
 			if b.block == block && b.state == bufValid {
 				b.lastUse = p.Now()
+				if b.partial && b.dirty < c.blockSize {
+					c.s.m2.CacheMiss++
+					b.state = bufReading
+					c.fill(p, b)
+					b.state = bufValid
+					c.changed.Broadcast()
+					return b
+				}
 				c.s.m2.CacheHits++
 				return b
 			}
@@ -111,9 +122,9 @@ func (c *blockCache) getRead(p *sim.Proc, block int) *buffer {
 		c.index[block] = b
 		c.noteOccupancy(p.Now())
 		c.s.m2.CacheMiss++
-		data := c.s.diskReadBlock(p, block)
-		copy(b.data, data)
-		c.s.diskFor(block).Recycle(data)
+		if !c.s.blockIO(p, false, block, b.data) {
+			clear(b.data) // lost: the block reads as zeros
+		}
 		b.state = bufValid
 		b.lastUse = p.Now()
 		c.changed.Broadcast()
@@ -122,9 +133,9 @@ func (c *blockCache) getRead(p *sim.Proc, block int) *buffer {
 }
 
 // getWrite returns a pinned buffer for writing into block. On a miss no
-// disk read happens: a fresh frame with a dirty bitmap is installed
-// (write-behind merges with disk content at flush time if the block is
-// never fully overwritten).
+// disk read happens: a partial frame with a dirty bitmap is installed,
+// filled from disk by the first read or flush that needs its unwritten
+// bytes.
 func (c *blockCache) getWrite(p *sim.Proc, block int) *buffer {
 	for {
 		if b := c.index[block]; b != nil {
@@ -150,6 +161,7 @@ func (c *blockCache) getWrite(p *sim.Proc, block int) *buffer {
 		}
 		b.block = block
 		b.state = bufValid
+		b.partial = true
 		b.written = make([]bool, c.blockSize)
 		b.pins++
 		b.lastUse = p.Now()
@@ -170,7 +182,7 @@ func (c *blockCache) unpin(b *buffer) {
 
 // release returns an unused acquired frame to the free pool.
 func (c *blockCache) release(b *buffer) {
-	b.reset(c.blockSize)
+	b.reset()
 	c.avail.Signal()
 }
 
@@ -205,34 +217,57 @@ func (c *blockCache) acquire(p *sim.Proc) *buffer {
 			}
 			delete(c.index, victim.block)
 			c.noteOccupancy(p.Now())
-			victim.reset(c.blockSize)
+			victim.reset()
+		}
+		if victim.data == nil {
+			victim.data = make([]byte, c.blockSize)
 		}
 		victim.state = bufReading // reserve the frame for the caller
 		return victim
 	}
 }
 
+// fill merges the block's disk contents under the frame's unwritten
+// bytes, completing a partial frame. The bitmap is read after the disk
+// read returns, so bytes written meanwhile survive. A lost read merges
+// zeros.
+func (c *blockCache) fill(p *sim.Proc, b *buffer) {
+	if !c.s.blockIO(p, false, b.block, c.scratch(b)) {
+		clear(b.scratch)
+	}
+	for i, w := range b.written {
+		if !w {
+			b.data[i] = b.scratch[i]
+		}
+	}
+	b.partial = false
+}
+
+// scratch returns the frame's scratch buffer, allocating it on first use.
+func (c *blockCache) scratch(b *buffer) []byte {
+	if b.scratch == nil {
+		b.scratch = make([]byte, c.blockSize)
+	}
+	return b.scratch
+}
+
 // flush writes a dirty buffer to disk, merging with existing disk
-// content first when the block was only partially overwritten.
+// content first (read-modify-write) when the block was only partially
+// overwritten.
 func (c *blockCache) flush(p *sim.Proc, b *buffer) {
 	b.flushing = true
+	for b.state == bufReading { // a read-side fill owns the scratch
+		c.changed.Wait(p)
+	}
 	c.s.m2.Flushes++
-	dd := c.s.diskFor(b.block)
-	data := dd.Buffer(c.blockSize)
-	copy(data, b.data) // full-frame copy: no stale pool bytes survive
 	if b.dirty < c.blockSize {
 		c.s.m2.PartialRMW++
-		diskData := c.s.diskReadBlock(p, b.block)
-		for i, w := range b.written {
-			if !w {
-				data[i] = diskData[i]
-			}
-		}
-		dd.Recycle(diskData)
+		c.fill(p, b)
 	}
+	b.partial = false
+	copy(c.scratch(b), b.data)
 	dirtyAtSubmit := b.dirty
-	c.s.diskWriteBlock(p, b.block, data)
-	dd.Recycle(data)
+	c.s.blockIO(p, true, b.block, b.scratch)
 	// Bytes written while the flush was in flight stay dirty.
 	if dirtyAtSubmit == b.dirty {
 		b.dirty = 0

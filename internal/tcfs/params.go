@@ -12,6 +12,7 @@ package tcfs
 import (
 	"time"
 
+	"ddio/internal/disk"
 	"ddio/internal/fault"
 )
 
@@ -78,15 +79,13 @@ func DefaultParams() Params {
 
 // Metrics aggregates per-server activity.
 type Metrics struct {
-	Requests      int64
-	Reads         int64
-	Writes        int64
-	CacheHits     int64
-	CacheMiss     int64
-	Prefetches    int64
-	Flushes       int64
-	PartialRMW    int64 // partial-block flushes needing read-modify-write
-	DiskRetries   int64 // disk-request resubmissions after transient failures
-	DiskRecovered int64 // failed requests that a retry eventually completed
-	DiskLost      int64 // requests still failing after the retry budget
+	Requests   int64
+	Reads      int64
+	Writes     int64
+	CacheHits  int64
+	CacheMiss  int64
+	Prefetches int64
+	Flushes    int64
+	PartialRMW int64 // partial-block flushes needing read-modify-write
+	disk.RetryCounts
 }

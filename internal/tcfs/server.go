@@ -19,18 +19,17 @@ import (
 // that terminal stage — after which gen has been bumped, so any stale
 // token drops as a no-op.
 type request struct {
-	owner   *Client // issuing client, for release back to its pool
-	gen     uint64
-	srv     *Server // serving IOP, stamped when the reply is sent
-	write   bool
-	block   int
-	off     int // offset within the block
-	n       int
-	memOff  int64  // CP memory offset (read deposit target)
-	data    []byte // write payload snapshot (pooled capacity)
-	payload []byte // read reply staging buffer (owned by srv.pfree)
-	src     *cluster.Node
-	done    *sim.WaitGroup // signaled at the CP when the reply lands
+	owner  *Client // issuing client, for release back to its pool
+	gen    uint64
+	srv    *Server // serving IOP, stamped when the reply is sent
+	write  bool
+	block  int
+	off    int // offset within the block
+	n      int
+	memOff int64  // CP memory offset (read deposit target)
+	data   []byte // write payload or read reply (pooled capacity)
+	src    *cluster.Node
+	done   *sim.WaitGroup // signaled at the CP when the reply lands
 }
 
 // Reply token kinds.
@@ -52,9 +51,7 @@ func (r *request) Complete(c sim.Completion, now sim.Time) {
 	}
 	s := r.srv
 	if c.Kind == reqReadLand {
-		copy(r.src.Mem[r.memOff:], r.payload)
-		s.pfree.Put(r.payload) // bytes deposited; buffer reusable
-		r.payload = nil
+		copy(r.src.Mem[r.memOff:], r.data)
 	}
 	_, end := r.src.CPU.ReserveFor(s.prm.ReplyRecvCPU)
 	done := r.done
@@ -63,7 +60,7 @@ func (r *request) Complete(c sim.Completion, now sim.Time) {
 }
 
 // release returns the record to its owner's pool, invalidating queued
-// tokens (write-payload capacity is kept for reuse).
+// tokens (payload capacity is kept for reuse).
 func (r *request) release() {
 	r.gen++
 	r.srv = nil
@@ -98,11 +95,11 @@ type Server struct {
 	prm   Params
 	cache *blockCache
 	m2    Metrics
+	retry disk.Retrier // bounded-retry policy for every disk request
 
 	outstanding *sim.WaitGroup   // in-flight handler work items
 	pool        *sim.ServicePool // persistent handler/prefetch threads
 	syncName    string           // precomputed sync-handler proc name
-	pfree       disk.Pool        // reply-payload free list (deterministic: one engine)
 	pffree      []*prefetch      // prefetch work-item free list
 	rec         *trace.Recorder  // event tracing, nil when disabled
 	traceName   string           // precomputed node label for trace records
@@ -118,6 +115,7 @@ func NewServer(m *cluster.Machine, node *cluster.Node, f *pfs.File, nCP int, prm
 	s.rec = m.Eng.Recorder()
 	s.traceName = node.String()
 	s.syncName = "tc-sync:" + s.traceName
+	s.retry = disk.Retrier{Policy: prm.Retry, Counts: &s.m2.RetryCounts, Rec: s.rec, Node: s.traceName}
 	frames := prm.BuffersPerDiskPerCP * nCP * s.localDiskCount()
 	s.cache = newBlockCache(s, frames, f.BlockSize)
 	s.outstanding = sim.NewWaitGroup(m.Eng, "tc-outstanding:"+node.String(), 0)
@@ -206,17 +204,14 @@ func (s *Server) handle(h *sim.Proc, r *request) {
 func (s *Server) handleRead(h *sim.Proc, r *request) {
 	s.m2.Reads++
 	b := s.cache.getRead(h, r.block)
-	// Reply staging buffer from the server's free list (contents are
-	// unspecified; the next line overwrites all r.n bytes).
-	payload := s.pfree.Get(r.n)
-	copy(payload, b.data[r.off:r.off+r.n])
+	// Stage the reply on the request record itself.
+	r.data = append(r.data[:0], b.data[r.off:r.off+r.n]...)
 	s.cache.unpin(b)
 	// Reply with the data; it is DMA-deposited straight into the user
 	// buffer at the CP (reqReadLand), which then pays a small wakeup cost.
-	r.payload = payload
 	r.srv = s
 	s.node.CPU.UseFor(h, s.prm.ReplySendCPU)
-	s.m.SendC(s.node, r.src, len(payload), 0, r.token(reqReadLand))
+	s.m.SendC(s.node, r.src, r.n, 0, r.token(reqReadLand))
 	s.maybePrefetch(h, r.block)
 }
 
@@ -286,52 +281,9 @@ func (s *Server) handleSync(h *sim.Proc, r *syncReq) {
 // diskFor returns the disk holding the given file block.
 func (s *Server) diskFor(block int) *disk.Disk { return s.f.Disks[s.f.DiskOf(block)] }
 
-// diskReadBlock performs a synchronous block read on behalf of a
-// handler, applying the server's bounded-retry policy on transient
-// failures (each retry sleeps the policy's doubling backoff in simulated
-// time before resubmitting). The returned buffer comes from the disk's
-// free list; the caller should Recycle it (on the same disk, see
-// diskFor) once done with the contents. When the retry budget is
-// exhausted the loss is counted (the experiment layer reports it as a
-// typed failure) and a zeroed buffer is returned so the cache machinery
-// above stays oblivious to faults.
-func (s *Server) diskReadBlock(p *sim.Proc, block int) []byte {
-	d := s.diskFor(block)
-	data, err := d.TryReadSync(p, s.f.LBN(block), s.f.SectorsPerBlock())
-	for attempt := 1; err != nil && attempt <= s.prm.Retry.Limit; attempt++ {
-		s.m2.DiskRetries++
-		t0 := p.Now()
-		p.Sleep(s.prm.Retry.BackoffFor(attempt))
-		s.rec.Retry(s.traceName, int64(t0), int64(p.Now()), attempt)
-		if data, err = d.TryReadSync(p, s.f.LBN(block), s.f.SectorsPerBlock()); err == nil {
-			s.m2.DiskRecovered++
-		}
-	}
-	if err != nil {
-		s.m2.DiskLost++
-		data = d.Buffer(s.f.BlockSize)
-		clear(data)
-	}
-	return data
-}
-
-// diskWriteBlock performs a synchronous block write on behalf of a
-// handler (the drive's write-behind makes it fast for sequential runs),
-// with the same bounded-retry policy as diskReadBlock; an exhausted
-// write is counted as lost and dropped.
-func (s *Server) diskWriteBlock(p *sim.Proc, block int, data []byte) {
-	d := s.diskFor(block)
-	err := d.TryWriteSync(p, s.f.LBN(block), data)
-	for attempt := 1; err != nil && attempt <= s.prm.Retry.Limit; attempt++ {
-		s.m2.DiskRetries++
-		t0 := p.Now()
-		p.Sleep(s.prm.Retry.BackoffFor(attempt))
-		s.rec.Retry(s.traceName, int64(t0), int64(p.Now()), attempt)
-		if err = d.TryWriteSync(p, s.f.LBN(block), data); err == nil {
-			s.m2.DiskRecovered++
-		}
-	}
-	if err != nil {
-		s.m2.DiskLost++
-	}
+// blockIO reads block into buf (or writes buf to it) under the
+// server's retry policy, reporting whether the request got through; a
+// lost request is counted in DiskLost.
+func (s *Server) blockIO(p *sim.Proc, write bool, block int, buf []byte) bool {
+	return s.retry.Do(p, s.diskFor(block), write, s.f.LBN(block), buf) == nil
 }
