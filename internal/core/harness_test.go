@@ -107,7 +107,7 @@ func (r *rig) verifyRead(t *testing.T, dec *hpf.Decomp) {
 
 func (r *rig) verifyWrite(t *testing.T) {
 	t.Helper()
-	if i := pfs.VerifyImage(r.f.ReadBack(), 0); i >= 0 {
+	if i := r.f.VerifyRange(0, r.f.Size(), make([]byte, r.f.BlockSize)); i >= 0 {
 		t.Fatalf("file mismatch at offset %d", i)
 	}
 }

@@ -157,12 +157,18 @@ func fillWrites(ph *workload.ResolvedPhase, base []int64, cps []*cluster.Node) {
 }
 
 // verifyWorkload checks every byte the run moved: read buffers against
-// the file image, written file ranges against the disks' final
-// contents. A collective write covers the whole file, so it is checked
-// block by block, once.
+// the file image, written file ranges against the disks' final contents
+// (read back one block at a time). A collective write covers the whole
+// file, so it is checked block by block, once.
 func verifyWorkload(res *workload.Resolved, appBase [][]int64, f *pfs.File, m *cluster.Machine) int {
 	errs := 0
-	var readBack []byte
+	var buf []byte // one block to read written data back into, made on first use
+	badWrite := func(off, n int64) bool {
+		if buf == nil {
+			buf = make([]byte, f.BlockSize)
+		}
+		return f.VerifyRange(off, n, buf) >= 0
+	}
 	fileChecked := false
 	for i := range res.Phases {
 		ph := &res.Phases[i]
@@ -170,11 +176,9 @@ func verifyWorkload(res *workload.Resolved, appBase [][]int64, f *pfs.File, m *c
 		if ph.Collective && ph.Write {
 			if !fileChecked {
 				fileChecked = true
-				if readBack == nil {
-					readBack = f.ReadBack()
-				}
-				for off := 0; off < len(readBack); off += f.BlockSize {
-					if pfs.VerifyImage(readBack[off:off+f.BlockSize], int64(off)) >= 0 {
+				bs := int64(f.BlockSize)
+				for off := int64(0); off < f.Size(); off += bs {
+					if badWrite(off, bs) {
 						errs++
 					}
 				}
@@ -195,10 +199,7 @@ func verifyWorkload(res *workload.Resolved, appBase [][]int64, f *pfs.File, m *c
 		for cp, node := range m.CPs {
 			for _, rq := range ph.Streams[cp] {
 				if rq.Write {
-					if readBack == nil {
-						readBack = f.ReadBack()
-					}
-					if pfs.VerifyImage(readBack[rq.FileOff:rq.FileOff+rq.Len], rq.FileOff) >= 0 {
+					if badWrite(rq.FileOff, rq.Len) {
 						errs++
 					}
 					continue

@@ -251,3 +251,27 @@ func TestTCMixedSubBlockStreamVerifies(t *testing.T) {
 		t.Fatalf("stream not mixed: %d reads, %d writes", r.TC.Reads, r.TC.Writes)
 	}
 }
+
+// TestTwoPhaseZipfReadStreamVerifies: a read-only Zipf stream with mixed
+// record sizes under two-phase I/O. Long and short records interleave in
+// file order, so the conforming redistribution must find every record
+// that covers a staged range, not only those whose end offsets happen
+// to sort.
+func TestTwoPhaseZipfReadStreamVerifies(t *testing.T) {
+	spec, err := workload.Parse([]byte(`{"phases":[{"pattern":"zipf","requests":4096,"alpha":1.2,` +
+		`"record_sizes":[512,4096,8192],"arrival":"poisson","rate_per_sec":1000}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Method = TwoPhase
+	cfg.FileBytes = 4 * MiB
+	cfg.Workload = spec
+	r, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.VerifyErrors > 0 {
+		t.Fatalf("%d verification errors", r.VerifyErrors)
+	}
+}

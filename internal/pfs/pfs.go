@@ -145,12 +145,22 @@ func (f *File) Preload() {
 	}
 }
 
-// ReadBack assembles the file's current content from the disks (no
-// simulated time), for write verification.
-func (f *File) ReadBack() []byte {
-	out := make([]byte, f.Size())
-	for b := 0; b < f.NumBlocks; b++ {
-		f.Disks[f.DiskOf(b)].ReadData(f.LBN(b), out[b*f.BlockSize:(b+1)*f.BlockSize])
+// VerifyRange checks file range [off, off+n) as stored on the disks
+// against the image, without simulating any time. It reads the covered
+// sectors one block at a time into buf, which must hold one block, and
+// returns the file offset of the first bad byte, or -1.
+func (f *File) VerifyRange(off, n int64, buf []byte) int64 {
+	bs := int64(f.BlockSize)
+	ss := bs / f.sectorsPerBlock
+	for end := off + n; off < end; {
+		b := off / bs
+		lo, hi := off-b*bs, min(end-b*bs, bs)
+		s0, s1 := lo/ss, (hi+ss-1)/ss
+		f.Disks[f.DiskOf(int(b))].ReadData(f.LBN(int(b))+s0, buf[s0*ss:s1*ss])
+		if i := VerifyImage(buf[lo:hi], off); i >= 0 {
+			return off + int64(i)
+		}
+		off = (b + 1) * bs
 	}
-	return out
+	return -1
 }

@@ -110,9 +110,53 @@ func TestPreloadReadBackRoundTrip(t *testing.T) {
 	disks := newDisks(t, 4)
 	f, _ := NewFile(disks, 8192, 20, RandomBlocks, sim.NewRand(5))
 	f.Preload()
-	got := f.ReadBack()
-	if idx := VerifyImage(got, 0); idx >= 0 {
-		t.Fatalf("image mismatch at offset %d", idx)
+	buf := make([]byte, f.BlockSize)
+	if off := f.VerifyRange(0, f.Size(), buf); off >= 0 {
+		t.Fatalf("image mismatch at offset %d", off)
+	}
+	// Unaligned sub-block ranges read back only their covered sectors.
+	for _, r := range [][2]int64{{1, 7}, {8190, 5}, {3*8192 + 513, 2 * 8192}, {f.Size() - 1, 1}} {
+		if off := f.VerifyRange(r[0], r[1], buf); off >= 0 {
+			t.Fatalf("range %v: image mismatch at offset %d", r, off)
+		}
+	}
+}
+
+// TestVerifyRangeFlagsBadBlocks: a block never written reads as zero,
+// and a block whose image landed at another block's LBN holds the wrong
+// offsets' bytes; both are caught at their exact first bad byte.
+func TestVerifyRangeFlagsBadBlocks(t *testing.T) {
+	const bs = 8192
+	disks := newDisks(t, 2)
+	f, _ := NewFile(disks, bs, 12, RandomBlocks, sim.NewRand(7))
+	buf := make([]byte, bs)
+
+	// Block 5 is never written.
+	img := make([]byte, bs)
+	for b := 0; b < f.NumBlocks; b++ {
+		if b != 5 {
+			FillImage(img, int64(b)*bs)
+			f.Disks[f.DiskOf(b)].WriteData(f.LBN(b), img)
+		}
+	}
+	want := 5*bs + int64(VerifyImage(make([]byte, bs), 5*bs))
+	if got := f.VerifyRange(0, f.Size(), buf); got != want {
+		t.Fatalf("unwritten block: first bad byte %d, want %d", got, want)
+	}
+	if got := f.VerifyRange(6*bs, 6*bs, buf); got != -1 {
+		t.Fatalf("range past the unwritten block flagged at %d", got)
+	}
+
+	// Block 5 gets block 3's image (same disk, wrong LBN for it).
+	f.Preload()
+	FillImage(img, 3*bs)
+	f.Disks[f.DiskOf(5)].WriteData(f.LBN(5), img)
+	want = 5*bs + int64(VerifyImage(img, 5*bs))
+	if got := f.VerifyRange(bs, 10*bs, buf); got != want {
+		t.Fatalf("misplaced block: first bad byte %d, want %d", got, want)
+	}
+	if want >= 6*bs {
+		t.Fatalf("misplaced block's image matched its own: %d", want)
 	}
 }
 

@@ -115,7 +115,7 @@ func (r *rig) verifyRead(t *testing.T, dec *hpf.Decomp) {
 // verifyWrite checks the on-disk file against the image.
 func (r *rig) verifyWrite(t *testing.T) {
 	t.Helper()
-	if i := pfs.VerifyImage(r.f.ReadBack(), 0); i >= 0 {
+	if i := r.f.VerifyRange(0, r.f.Size(), make([]byte, r.f.BlockSize)); i >= 0 {
 		t.Fatalf("file mismatch at offset %d", i)
 	}
 }

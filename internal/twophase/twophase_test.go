@@ -123,7 +123,7 @@ func TestTwoPhaseWriteCorrectness(t *testing.T) {
 		r := newRig(t, 4, 2, 4, 32, pfs.Contiguous)
 		dec := mustDecomp(t, pattern, r.f.Size(), 1024, 4)
 		r.run(t, dec, true)
-		if i := pfs.VerifyImage(r.f.ReadBack(), 0); i >= 0 {
+		if i := r.f.VerifyRange(0, r.f.Size(), make([]byte, r.f.BlockSize)); i >= 0 {
 			t.Fatalf("%s: file mismatch at %d", pattern, i)
 		}
 	}

@@ -24,6 +24,7 @@ type Slot struct {
 type SlotAccess struct {
 	perCP   [][]Slot // slots by CP, each sorted by (FileOff, MemOff)
 	cpBytes []int64  // memory footprint per CP
+	maxLen  int64    // longest slot, bounding how far back an overlap starts
 }
 
 // NewSlotAccess builds the access for a slot set over ncp CPs. Slots
@@ -32,6 +33,7 @@ func NewSlotAccess(slots []Slot, ncp int) *SlotAccess {
 	a := &SlotAccess{perCP: make([][]Slot, ncp), cpBytes: make([]int64, ncp)}
 	for _, s := range slots {
 		a.perCP[s.CP] = append(a.perCP[s.CP], s)
+		a.maxLen = max(a.maxLen, s.Len)
 		if end := s.MemOff + s.Len; end > a.cpBytes[s.CP] {
 			a.cpBytes[s.CP] = end
 		}
@@ -89,9 +91,11 @@ func (a *SlotAccess) RunsInRange(off, n int64) []hpf.Run {
 	end := off + n
 	var out []hpf.Run
 	for cp, slots := range a.perCP {
-		// Slots are sorted by FileOff; find the first that can overlap.
+		// Slots are sorted by FileOff, but their ends are not (lengths
+		// differ), so skip only the prefix that ends before off even at
+		// the longest length; the clip below drops the rest.
 		i := sort.Search(len(slots), func(i int) bool {
-			return slots[i].FileOff+slots[i].Len > off
+			return slots[i].FileOff+a.maxLen > off
 		})
 		for ; i < len(slots) && slots[i].FileOff < end; i++ {
 			s := slots[i]

@@ -64,6 +64,21 @@ func TestSlotAccessRunsInRange(t *testing.T) {
 	}
 }
 
+// TestRunsInRangeFindsLongSlotBeforeShortOne: slot ends are not sorted
+// when lengths differ. A short slot after a long one must not hide the
+// long slot from a range past the short slot's end.
+func TestRunsInRangeFindsLongSlotBeforeShortOne(t *testing.T) {
+	a := NewSlotAccess([]Slot{
+		{CP: 0, FileOff: 0, MemOff: 0, Len: 8192},
+		{CP: 0, FileOff: 4096, MemOff: 8192, Len: 512},
+	}, 1)
+	got := a.RunsInRange(5000, 100)
+	want := []hpf.Run{{CP: 0, FileOff: 5000, MemOff: 5000, Len: 100}}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("RunsInRange(5000,100) = %+v, want %+v", got, want)
+	}
+}
+
 func TestOffsetAccess(t *testing.T) {
 	a := NewSlotAccess([]Slot{
 		{CP: 0, FileOff: 0, MemOff: 0, Len: 10},
