@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -85,11 +86,17 @@ func (r *rig) collective(t *testing.T, dec *hpf.Decomp, write bool, prm Params) 
 	if client.EndTime() == 0 {
 		t.Fatalf("collective did not complete; blocked: %v", r.eng.BlockedProcs())
 	}
-	// Proc-leak hygiene: every transient proc (CP bodies, dd-work service
-	// threads, buffer threads) must have exited; only daemons — the
-	// dispatchers, disk servers, and parked pool workers — may remain.
+	// Proc-leak hygiene: every transient proc (CP bodies, dd-work
+	// request workers, buffer threads) must have exited; only daemons —
+	// the dispatchers and disk servers — may remain.
 	if n := r.eng.NumBlocked(); n != 0 {
 		t.Fatalf("proc leak: %d non-daemon procs blocked after run: %v", n, r.eng.BlockedProcs())
+	}
+	// No request worker outlives its request, daemon or not.
+	for _, b := range r.eng.BlockedProcs() {
+		if strings.HasPrefix(b, "dd-work:") {
+			t.Fatalf("request worker outlived its request: %s", b)
+		}
 	}
 	return client.EndTime().Duration()
 }

@@ -39,12 +39,6 @@ type Params struct {
 	// BuffersPerDisk is the number of one-block buffers (and buffer
 	// threads) per local disk (paper: 2, double buffering).
 	BuffersPerDisk int
-	// ServiceThreads is the number of persistent collective-request
-	// service threads each IOP retains (paper: one thread per request
-	// stream). Overlapping requests grow the pool on demand through the
-	// kernel's recycled-proc path and shrink it back when idle, so the
-	// simulated timing is identical to spawn-per-request for any value.
-	ServiceThreads int
 	// Presort orders each disk's block list by physical location
 	// instead of file order.
 	Presort bool
@@ -68,7 +62,6 @@ func DefaultParams() Params {
 		MemgetRemoteCPU:  2 * time.Microsecond,
 		GatherSegmentCPU: 500 * time.Nanosecond,
 		BuffersPerDisk:   2,
-		ServiceThreads:   1,
 	}
 }
 

@@ -31,26 +31,22 @@ type Server struct {
 	prm  Params
 	m2   Metrics
 
-	localDisks                 []int            // global disk indices served by this IOP
-	pool                       *sim.ServicePool // persistent collective-request service threads
-	retry                      disk.Retrier     // bounded-retry policy for every disk request
-	bufNames                   [][]string       // precomputed buffer-thread proc names [localDisk][buffer]
-	deliveredName, workersName string           // precomputed per-request WaitGroup names
-	rec                        *trace.Recorder  // event tracing, nil when disabled
-	traceName                  string           // precomputed node label for trace records
-	reqSeq                     int64            // per-server collective-request id in traces
+	localDisks                 []int           // global disk indices served by this IOP
+	retry                      disk.Retrier    // bounded-retry policy for every disk request
+	workName                   string          // precomputed request-worker proc name
+	bufNames                   [][]string      // precomputed buffer-thread proc names [localDisk][buffer]
+	deliveredName, workersName string          // precomputed per-request WaitGroup names
+	rec                        *trace.Recorder // event tracing, nil when disabled
+	traceName                  string          // precomputed node label for trace records
+	reqSeq                     int64           // per-server collective-request id in traces
 }
 
 // NewServer builds the disk-directed server for one IOP: a dispatcher
-// daemon that demultiplexes the mailbox, and a pool of persistent
-// service threads that execute collective requests (cf. the paper's
-// fixed per-IOP thread structure).
+// daemon that demultiplexes the mailbox and starts one worker thread per
+// collective request.
 func NewServer(m *cluster.Machine, node *cluster.Node, f *pfs.File, prm Params) *Server {
 	if prm.BuffersPerDisk < 1 {
 		prm.BuffersPerDisk = 1
-	}
-	if prm.ServiceThreads < 1 {
-		prm.ServiceThreads = 1
 	}
 	s := &Server{m: m, node: node, f: f, prm: prm}
 	s.rec = m.Eng.Recorder()
@@ -70,8 +66,7 @@ func NewServer(m *cluster.Machine, node *cluster.Node, f *pfs.File, prm Params) 
 	}
 	s.deliveredName = "dd-delivered:" + node.String()
 	s.workersName = "dd-workers:" + node.String()
-	s.pool = sim.NewServicePool(m.Eng, "dd-work:"+node.String(), prm.ServiceThreads,
-		func(w *sim.Proc, item any) { s.serve(w, item.(*collReq)) })
+	s.workName = "dd-work:" + node.String()
 	m.Eng.GoDaemon("dd-dispatch:"+node.String(), s.dispatch)
 	return s
 }
@@ -87,7 +82,11 @@ func (s *Server) dispatch(p *sim.Proc) {
 			panic(fmt.Sprintf("core: unexpected message %T", msg))
 		}
 		s.node.CPU.UseFor(p, s.prm.IOPStartCPU)
-		s.pool.Submit(req)
+		s.m.Eng.Go(s.workName, func(w *sim.Proc) {
+			start := w.Now()
+			s.serve(w, req)
+			s.rec.PoolBusy(s.workName, int64(start), int64(w.Now()))
+		})
 	}
 }
 

@@ -57,7 +57,7 @@ func TestBusUtilization(t *testing.T) {
 		p.Sleep(100 * time.Microsecond) // idle period
 	})
 	e.Run()
-	if u := b.Utilization(e.Now()); u < 0.49 || u > 0.51 {
+	if u := float64(b.Busy()) / float64(e.Now()); u < 0.49 || u > 0.51 {
 		t.Fatalf("utilization %v, want ~0.5", u)
 	}
 	if b.Busy() != 100*time.Microsecond {

@@ -57,7 +57,6 @@ type (
 
 		BuffersPerDiskPerCP int
 		PrefetchBlocks      int
-		ServiceThreads      int
 
 		StridedRequests bool
 
@@ -74,7 +73,6 @@ type (
 		GatherSegmentCPU time.Duration
 
 		BuffersPerDisk int
-		ServiceThreads int
 		Presort        bool
 		GatherScatter  bool
 		Retry          fault.RetryPolicy

@@ -114,7 +114,6 @@ var cellKeyMutations = []struct {
 	{"barrier-cost", func(c *Config) { c.BarrierCost += time.Microsecond }},
 	{"net-router-delay", func(c *Config) { c.Net.RouterDelay += time.Nanosecond }},
 	{"tc-prefetch", func(c *Config) { c.TC.PrefetchBlocks++ }},
-	{"tc-threads", func(c *Config) { c.TC.ServiceThreads++ }},
 	{"dd-buffers", func(c *Config) { c.DD.BuffersPerDisk++ }},
 	{"dd-presort", func(c *Config) { c.DD.Presort = !c.DD.Presort }},
 	{"tp-copy", func(c *Config) { c.TP.CopyPerByte += time.Nanosecond }},

@@ -236,10 +236,8 @@ func TestRunnerIsolatesPanickedCell(t *testing.T) {
 		})
 		e.Run()
 	}
-	orig := runExperiment
-	defer func() { runExperiment = orig }()
 	for _, inProc := range []bool{false, true} {
-		runExperiment = func(cfg Config) (*Result, error) {
+		run := func(cfg Config) (*Result, error) {
 			if inProc {
 				simulate(cfg.Seed == poisoned)
 			} else if cfg.Seed == poisoned {
@@ -255,7 +253,9 @@ func TestRunnerIsolatesPanickedCell(t *testing.T) {
 		}
 		for _, workers := range []int{1, 4} {
 			done := map[int64]bool{}
-			results, err := NewRunner(workers, nil).RunAll(cfgs, func(i int, res *Result) {
+			runner := NewRunner(workers, nil)
+			runner.SetRunFunc(run)
+			results, err := runner.RunAll(cfgs, func(i int, res *Result) {
 				done[res.Config.Seed] = true
 			})
 			if results != nil {

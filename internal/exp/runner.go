@@ -39,10 +39,6 @@ func (e *FaultLossError) Error() string {
 		e.Method, e.Cell, e.Seed, e.Lost, e.VerifyErrors)
 }
 
-// runExperiment is the cell-execution hook; tests substitute it to
-// inject failures into specific cells.
-var runExperiment = Run
-
 // Runner executes independent experiment runs on a bounded worker pool.
 // Every simulation is a pure function of its Config (including the
 // seed), so runs can proceed concurrently; results are slotted by input
@@ -175,7 +171,7 @@ func (r *Runner) safeRun(cfg Config) (res *Result, err error) {
 	if r.run != nil {
 		return r.run(cfg)
 	}
-	return runExperiment(cfg)
+	return Run(cfg)
 }
 
 // runOne executes cfgs[i] and slots its outcome. Errors are wrapped

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ddio/internal/pfs"
+	"ddio/internal/trace"
 )
 
 // fig3aStyle returns a scaled-down Figure-3a configuration (the paper's
@@ -108,7 +109,7 @@ func TestDiskUtilizationDDExceedsTC(t *testing.T) {
 
 // TestTraceCoversAllLayers: one traced TC run must carry records from
 // every instrumented layer — disks, network, server requests, cache
-// occupancy, and the service pools.
+// occupancy, and the request handlers' pool spans.
 func TestTraceCoversAllLayers(t *testing.T) {
 	_, rec, err := TracedRun(fig3aStyle(TraditionalCaching))
 	if err != nil {
@@ -126,6 +127,44 @@ func TestTraceCoversAllLayers(t *testing.T) {
 	// Request latencies must summarize to something sane.
 	if sum := rec.RequestLatencies(); sum.N == 0 || sum.Mean <= 0 {
 		t.Errorf("request latency summary = %+v", sum)
+	}
+}
+
+// TestPoolSpansOnePerRequest: every file-system request runs on its own
+// handler thread, which records exactly one pool span. TC's handlers
+// (tc-svc, on TC and two-phase runs) also serve prefetches; DDIO's
+// (dd-work) serve one collective request each.
+func TestPoolSpansOnePerRequest(t *testing.T) {
+	for _, m := range []Method{TraditionalCaching, DiskDirected, TwoPhase} {
+		cfg := fig3aStyle(m)
+		cfg.FileBytes = MiB / 2
+		res, rec, err := TracedRun(cfg)
+		if err != nil {
+			t.Fatalf("%v: %v", m, err)
+		}
+		var tcSpans, ddSpans int64
+		for _, e := range rec.Events() {
+			if e.Kind != trace.KindPoolBusy {
+				continue
+			}
+			switch {
+			case strings.HasPrefix(e.Node, "tc-svc:"):
+				tcSpans++
+			case strings.HasPrefix(e.Node, "dd-work:"):
+				ddSpans++
+			default:
+				t.Fatalf("%v: pool span on unexpected node %q", m, e.Node)
+			}
+		}
+		if want := res.TC.Requests + res.TC.Prefetches; tcSpans != want {
+			t.Errorf("%v: %d tc-svc spans, want requests+prefetches = %d", m, tcSpans, want)
+		}
+		if want := res.DD.Requests; ddSpans != want {
+			t.Errorf("%v: %d dd-work spans, want requests = %d", m, ddSpans, want)
+		}
+		if tcSpans+ddSpans == 0 {
+			t.Errorf("%v: no pool spans at all", m)
+		}
 	}
 }
 

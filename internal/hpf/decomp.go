@@ -98,17 +98,3 @@ func (d *Decomp) CPBytes(cp int) int64 {
 	pr, pc := d.gridOf(cp)
 	return int64(d.Rows.Count(pr)) * int64(d.Cols.Count(pc)) * int64(d.RecordSize)
 }
-
-// ActiveCPs returns the number of CPs that own at least one record.
-func (d *Decomp) ActiveCPs() int {
-	if d.All {
-		return d.NCP
-	}
-	n := 0
-	for cp := 0; cp < d.NCP; cp++ {
-		if d.CPBytes(cp) > 0 {
-			n++
-		}
-	}
-	return n
-}

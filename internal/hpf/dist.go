@@ -105,28 +105,6 @@ func (d Dim) Count(p int) int {
 	panic("hpf: bad DistKind")
 }
 
-// RunLen returns the number of consecutive indices starting at i that
-// share i's owner (capped at N).
-func (d Dim) RunLen(i int) int {
-	switch d.Kind {
-	case None:
-		return d.N - i
-	case Block:
-		bs := d.blockSize()
-		end := (i/bs + 1) * bs
-		if end > d.N {
-			end = d.N
-		}
-		return end - i
-	case Cyclic:
-		if d.P == 1 {
-			return d.N - i
-		}
-		return 1
-	}
-	panic("hpf: bad DistKind")
-}
-
 // validate panics on malformed dimensions; used by Decomp constructors.
 func (d Dim) validate(name string) error {
 	if d.N < 1 {

@@ -60,25 +60,6 @@ func TestDimOwnerLocalCount(t *testing.T) {
 	}
 }
 
-func TestDimRunLen(t *testing.T) {
-	b := Dim{N: 10, P: 4, Kind: Block} // blockSize 3
-	if b.RunLen(0) != 3 || b.RunLen(2) != 1 || b.RunLen(9) != 1 {
-		t.Errorf("block runs: %d %d %d", b.RunLen(0), b.RunLen(2), b.RunLen(9))
-	}
-	c := Dim{N: 10, P: 3, Kind: Cyclic}
-	if c.RunLen(4) != 1 {
-		t.Errorf("cyclic run %d", c.RunLen(4))
-	}
-	c1 := Dim{N: 10, P: 1, Kind: Cyclic} // degenerate single proc
-	if c1.RunLen(2) != 8 {
-		t.Errorf("cyclic P=1 run %d", c1.RunLen(2))
-	}
-	n := Dim{N: 10, P: 1, Kind: None}
-	if n.RunLen(3) != 7 {
-		t.Errorf("none run %d", n.RunLen(3))
-	}
-}
-
 // Property: every index has exactly one owner, locals are dense per
 // owner, and counts sum to N — for all kinds, extents, and proc counts.
 func TestQuickDimPartition(t *testing.T) {

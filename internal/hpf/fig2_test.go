@@ -137,7 +137,7 @@ func TestFigure2ALLPattern(t *testing.T) {
 			t.Fatalf("ra cp%d chunks %+v", cp, chunks)
 		}
 	}
-	if d.ActiveCPs() != 4 {
-		t.Fatalf("ra active CPs %d", d.ActiveCPs())
+	if n := activeCPs(d); n != 4 {
+		t.Fatalf("ra active CPs %d", n)
 	}
 }

@@ -116,9 +116,6 @@ func (f *File) blocksOnDisk(d int) int {
 // Size returns the file size in bytes.
 func (f *File) Size() int64 { return int64(f.NumBlocks) * int64(f.BlockSize) }
 
-// SectorsPerBlock returns the number of sectors per file block.
-func (f *File) SectorsPerBlock() int64 { return f.sectorsPerBlock }
-
 // DiskOf returns the index of the disk holding file block b.
 func (f *File) DiskOf(b int) int { return b % len(f.Disks) }
 

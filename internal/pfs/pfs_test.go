@@ -33,8 +33,8 @@ func TestStripingRoundRobin(t *testing.T) {
 	if f.Size() != 16*8192 {
 		t.Fatalf("size %d", f.Size())
 	}
-	if f.SectorsPerBlock() != 16 {
-		t.Fatalf("sectors per block %d", f.SectorsPerBlock())
+	if f.sectorsPerBlock != 16 {
+		t.Fatalf("sectors per block %d", f.sectorsPerBlock)
 	}
 }
 

@@ -271,9 +271,9 @@ func (e *Engine) BlockedProcs() []string {
 }
 
 // NumBlocked returns the number of currently blocked procs, excluding
-// daemons (dispatch loops, disk servers, idle pool workers — procs
-// spawned with GoDaemon or parked by a ServicePool). After a successful
-// run it should be zero; anything else is a leaked transient proc.
+// daemons (dispatch loops, disk servers — procs spawned with GoDaemon).
+// After a successful run it should be zero; anything else is a leaked
+// transient proc.
 func (e *Engine) NumBlocked() int {
 	n := 0
 	for p := range e.procs {

@@ -75,11 +75,3 @@ func (pp *Pipe) UseFor(p *Proc, d time.Duration) {
 
 // Busy returns accumulated busy time.
 func (pp *Pipe) Busy() time.Duration { return pp.busy }
-
-// Utilization returns busy time as a fraction of the interval [0, at].
-func (pp *Pipe) Utilization(at Time) float64 {
-	if at <= 0 {
-		return 0
-	}
-	return float64(pp.busy) / float64(at)
-}

@@ -30,7 +30,7 @@ type Proc struct {
 	fn       func(p *Proc) // body of the armed (or running) incarnation
 	killed   bool
 	dead     bool // no live incarnation (idle on the free list)
-	daemon   bool // excluded from NumBlocked (dispatchers, pool workers...)
+	daemon   bool // excluded from NumBlocked (dispatchers, disk servers...)
 }
 
 // procKilled is panicked inside a proc's body when the engine shuts
@@ -107,9 +107,9 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 }
 
 // GoDaemon is Go for procs that intentionally never exit — message
-// dispatchers, disk server loops, parked service-pool workers. Daemons
-// are excluded from NumBlocked, so "no procs blocked after the run"
-// remains a meaningful leak check; they still appear in BlockedProcs.
+// dispatchers and disk server loops. Daemons are excluded from
+// NumBlocked, so "no procs blocked after the run" remains a meaningful
+// leak check; they still appear in BlockedProcs.
 func (e *Engine) GoDaemon(name string, fn func(p *Proc)) *Proc {
 	return e.spawn(name, fn, true)
 }
@@ -172,7 +172,6 @@ func (p *Proc) serve() {
 func (p *Proc) retire() {
 	p.gen++
 	p.dead = true
-	p.daemon = false
 	p.state = ""
 	p.asleep = false
 	e := p.eng
@@ -241,7 +240,3 @@ func (p *Proc) SleepUntil(t Time) {
 	p.asleep = true
 	p.park("")
 }
-
-// Yield reschedules the proc at the current instant behind already-queued
-// events, giving other ready work a chance to run first.
-func (p *Proc) Yield() { p.SleepUntil(p.eng.now) }

@@ -81,10 +81,14 @@ func (c *Client) getWG() *sim.WaitGroup {
 // Wait returned, so no Done event or waiter can still reference it.
 func (c *Client) putWG(wg *sim.WaitGroup) { c.wgfree = append(c.wgfree, wg) }
 
-// getReq takes a pooled request record, stamping this client as owner.
+// getReq takes a pooled request record. A fresh record is stamped with
+// this client as owner and gets its serve method bound, once.
 func (c *Client) getReq() *request {
 	r := c.reqs.Get()
-	r.owner = c
+	if r.run == nil {
+		r.owner = c
+		r.run = r.serve
+	}
 	return r
 }
 

@@ -2,6 +2,7 @@ package tcfs
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -91,11 +92,17 @@ func (r *rig) transfer(t *testing.T, dec *hpf.Decomp, write bool, prm Params) ti
 	if client.EndTime() == 0 {
 		t.Fatalf("transfer did not complete; blocked: %v", r.eng.BlockedProcs())
 	}
-	// Proc-leak hygiene: every transient proc (CP bodies, handler and
-	// prefetch work, sync handlers) must have exited; only daemons — the
-	// dispatchers, disk servers, and parked pool workers — may remain.
+	// Proc-leak hygiene: every transient proc (CP bodies, request and
+	// prefetch handlers, sync handlers) must have exited; only daemons —
+	// the dispatchers and disk servers — may remain.
 	if n := r.eng.NumBlocked(); n != 0 {
 		t.Fatalf("proc leak: %d non-daemon procs blocked after run: %v", n, r.eng.BlockedProcs())
+	}
+	// No handler outlives its request, daemon or not.
+	for _, b := range r.eng.BlockedProcs() {
+		if strings.HasPrefix(b, "tc-svc:") {
+			t.Fatalf("handler outlived its request: %s", b)
+		}
 	}
 	return client.EndTime().Duration()
 }

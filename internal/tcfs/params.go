@@ -36,14 +36,6 @@ type Params struct {
 	// Policy.
 	BuffersPerDiskPerCP int // cache capacity factor (paper: 2)
 	PrefetchBlocks      int // read-ahead depth in blocks (paper: 1)
-	// ServiceThreads is the number of persistent handler threads each
-	// IOP retains; 0 (the default) retains one per cache frame, the
-	// server's natural concurrency bound. Bursts beyond the retained
-	// size grow the pool on demand through the kernel's recycled-proc
-	// path and shrink it back when idle, so the simulated timing is
-	// identical to spawn-per-request for any value. The modeled server
-	// still pays ThreadCreate CPU per request either way.
-	ServiceThreads int
 
 	// StridedRequests enables the paper's future-work extension of
 	// batching a CP's entire (strided) request list into one

@@ -13,15 +13,16 @@ import (
 
 // request is one CP→IOP file-system call for a piece of a single block,
 // pooled on the issuing Client (owner) and reused LIFO. The record is
-// also the completion target for its own reply: the server stamps srv
-// and schedules a reqReadLand/reqWriteAck token as the reply message's
-// delivery completion, and the record is released back to its owner at
-// that terminal stage — after which gen has been bumped, so any stale
-// token drops as a no-op.
+// also the completion target for its own reply: the server schedules a
+// reqReadLand/reqWriteAck token as the reply message's delivery
+// completion, and the record is released back to its owner at that
+// terminal stage — after which gen has been bumped, so any stale token
+// drops as a no-op.
 type request struct {
 	owner  *Client // issuing client, for release back to its pool
 	gen    uint64
-	srv    *Server // serving IOP, stamped when the reply is sent
+	srv    *Server         // serving IOP, stamped at dispatch
+	run    func(*sim.Proc) // serve bound once per pooled record
 	write  bool
 	block  int
 	off    int // offset within the block
@@ -70,6 +71,37 @@ func (r *request) release() {
 	r.owner.putReq(r)
 }
 
+// serve is the request's handler thread: it handles the request, then
+// records its busy span. The reply can land, and the client recycle r,
+// while the handler is still finishing, so r is not touched after
+// handle returns.
+func (r *request) serve(h *sim.Proc) {
+	s := r.srv
+	start := h.Now()
+	s.handle(h, r)
+	s.outstanding.Done()
+	s.rec.PoolBusy(s.svcName, int64(start), int64(h.Now()))
+}
+
+// prefetch is one block to be pulled into the cache ahead of demand,
+// pooled on its server and run on a handler thread of its own.
+type prefetch struct {
+	srv   *Server
+	block int
+	run   func(*sim.Proc) // serve bound once per pooled record
+}
+
+// serve reads the block into the cache on a handler thread.
+func (pf *prefetch) serve(h *sim.Proc) {
+	s := pf.srv
+	start := h.Now()
+	b := s.cache.getRead(h, pf.block)
+	s.cache.unpin(b)
+	s.outstanding.Done()
+	s.prefetches.Put(pf)
+	s.rec.PoolBusy(s.svcName, int64(start), int64(h.Now()))
+}
+
 // syncReq asks an IOP to flush write-behind data, wait out prefetches,
 // and drain its disks.
 type syncReq struct {
@@ -77,17 +109,9 @@ type syncReq struct {
 	done *sim.WaitGroup
 }
 
-// prefetch is a pool work item asking for one block to be pulled into
-// the cache ahead of demand.
-type prefetch struct {
-	block int
-}
-
-// Server is the traditional-caching IOP: a dispatcher daemon that hands
-// each incoming request to a pool of persistent handler threads over a
-// shared block cache. The modeled 1994 server still pays ThreadCreate
-// CPU per request — pooling the simulator's procs changes the host cost
-// of a handler, not the simulated cost model.
+// Server is the traditional-caching IOP: a dispatcher daemon that starts
+// a handler thread for each incoming request (paying ThreadCreate CPU,
+// as the paper's server does) over a shared block cache.
 type Server struct {
 	m     *cluster.Machine
 	node  *cluster.Node
@@ -97,42 +121,34 @@ type Server struct {
 	m2    Metrics
 	retry disk.Retrier // bounded-retry policy for every disk request
 
-	outstanding *sim.WaitGroup   // in-flight handler work items
-	pool        *sim.ServicePool // persistent handler/prefetch threads
-	syncName    string           // precomputed sync-handler proc name
-	pffree      []*prefetch      // prefetch work-item free list
-	rec         *trace.Recorder  // event tracing, nil when disabled
-	traceName   string           // precomputed node label for trace records
-	reqSeq      int64            // per-server request id for trace correlation
+	outstanding *sim.WaitGroup      // in-flight requests and prefetches
+	prefetches  sim.Arena[prefetch] // prefetch records
+	svcName     string              // precomputed handler proc name
+	syncName    string              // precomputed sync-handler proc name
+	rec         *trace.Recorder     // event tracing, nil when disabled
+	traceName   string              // precomputed node label for trace records
+	reqSeq      int64               // per-server request id for trace correlation
 }
 
 // NewServer builds the caching server for one IOP and starts its
 // dispatcher. nCP sizes the cache: BuffersPerDiskPerCP frames per local
-// disk per CP; the handler pool retains one service thread per cache
-// frame by default (ServiceThreads overrides).
+// disk per CP.
 func NewServer(m *cluster.Machine, node *cluster.Node, f *pfs.File, nCP int, prm Params) *Server {
 	s := &Server{m: m, node: node, f: f, prm: prm}
 	s.rec = m.Eng.Recorder()
 	s.traceName = node.String()
+	s.svcName = "tc-svc:" + s.traceName
 	s.syncName = "tc-sync:" + s.traceName
 	s.retry = disk.Retrier{Policy: prm.Retry, Counts: &s.m2.RetryCounts, Rec: s.rec, Node: s.traceName}
 	frames := prm.BuffersPerDiskPerCP * nCP * s.localDiskCount()
 	s.cache = newBlockCache(s, frames, f.BlockSize)
 	s.outstanding = sim.NewWaitGroup(m.Eng, "tc-outstanding:"+node.String(), 0)
-	retain := prm.ServiceThreads
-	if retain == 0 {
-		retain = frames
-	}
-	s.pool = sim.NewServicePool(m.Eng, "tc-svc:"+node.String(), retain, s.serveItem)
 	m.Eng.GoDaemon("tc-dispatch:"+node.String(), s.dispatch)
 	return s
 }
 
 // Metrics returns a copy of the server's counters.
 func (s *Server) Metrics() Metrics { return s.m2 }
-
-// CacheFrames returns the cache capacity in buffers (diagnostic).
-func (s *Server) CacheFrames() int { return len(s.cache.bufs) }
 
 // localDiskCount returns how many of the file's disks this IOP serves.
 func (s *Server) localDiskCount() int {
@@ -160,29 +176,13 @@ func (s *Server) dispatch(p *sim.Proc) {
 		case *request:
 			s.node.CPU.UseFor(p, s.prm.ThreadCreate)
 			s.outstanding.Add(1)
-			s.pool.Submit(r)
+			r.srv = s
+			s.m.Eng.Go(s.svcName, r.run)
 		case *syncReq:
 			s.m.Eng.Go(s.syncName, func(h *sim.Proc) { s.handleSync(h, r) })
 		default:
 			panic(fmt.Sprintf("tcfs: unexpected message %T", msg))
 		}
-	}
-}
-
-// serveItem is the pool's service function: one file-system request or
-// one prefetch per invocation.
-func (s *Server) serveItem(h *sim.Proc, item any) {
-	switch r := item.(type) {
-	case *request:
-		s.handle(h, r)
-		s.outstanding.Done()
-	case *prefetch:
-		b := s.cache.getRead(h, r.block)
-		s.cache.unpin(b)
-		s.outstanding.Done()
-		s.pffree = append(s.pffree, r)
-	default:
-		panic(fmt.Sprintf("tcfs: unexpected work item %T", item))
 	}
 }
 
@@ -209,7 +209,6 @@ func (s *Server) handleRead(h *sim.Proc, r *request) {
 	s.cache.unpin(b)
 	// Reply with the data; it is DMA-deposited straight into the user
 	// buffer at the CP (reqReadLand), which then pays a small wakeup cost.
-	r.srv = s
 	s.node.CPU.UseFor(h, s.prm.ReplySendCPU)
 	s.m.SendC(s.node, r.src, r.n, 0, r.token(reqReadLand))
 	s.maybePrefetch(h, r.block)
@@ -230,7 +229,6 @@ func (s *Server) handleWrite(h *sim.Proc, r *request) {
 	}
 	full := b.dirty == s.f.BlockSize
 	// Ack before the write-behind happens: the data is safely cached.
-	r.srv = s
 	s.node.CPU.UseFor(h, s.prm.ReplySendCPU)
 	s.m.SendC(s.node, r.src, 0, 0, r.token(reqWriteAck))
 	if full && !b.flushing {
@@ -252,15 +250,13 @@ func (s *Server) maybePrefetch(h *sim.Proc, afterBlock int) {
 		s.m2.Prefetches++
 		s.node.CPU.UseFor(h, s.prm.CacheAccessCPU)
 		s.outstanding.Add(1)
-		var pf *prefetch
-		if n := len(s.pffree); n > 0 {
-			pf = s.pffree[n-1]
-			s.pffree = s.pffree[:n-1]
-		} else {
-			pf = new(prefetch)
+		pf := s.prefetches.Get()
+		if pf.run == nil {
+			pf.srv = s
+			pf.run = pf.serve
 		}
 		pf.block = nb
-		s.pool.Submit(pf)
+		s.m.Eng.Go(s.svcName, pf.run)
 	}
 }
 

@@ -125,7 +125,7 @@ func TestCachePressureForcesPartialRMW(t *testing.T) {
 func TestCacheSizeFollowsPolicy(t *testing.T) {
 	r := newRig(t, rigOpts{ncp: 4, niop: 2, ndisks: 4, blocks: 8, layout: pfs.Contiguous})
 	// 2 buffers per disk per CP, 2 local disks, 4 CPs = 16 frames.
-	if got := r.servers[0].CacheFrames(); got != 16 {
+	if got := len(r.servers[0].cache.bufs); got != 16 {
 		t.Fatalf("cache frames %d, want 16", got)
 	}
 }

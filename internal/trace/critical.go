@@ -3,13 +3,13 @@ package trace
 // Critical-path decomposition: split each file-system request's
 // server-side latency window into where the time went. The spans are
 // already in the trace as typed events — disk service intervals, retry
-// backoffs, service-pool busy intervals — so the decomposition is a
+// backoffs, request-handler busy intervals — so the decomposition is a
 // pure derivation, computed per request by intersecting its [start,
 // end] window with the merged activity unions in priority order:
 //
 //	Disk    — some disk was servicing a media transfer
 //	Retry   — else the owning server sat in a bounded-retry backoff
-//	Service — else the server's service pool was executing work
+//	Service — else one of the server's handler threads was busy
 //	Queue   — else nothing was moving: the request waited in a queue
 //
 // The four buckets partition the window exactly (Disk + Retry +

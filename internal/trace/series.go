@@ -341,32 +341,3 @@ func (r *Recorder) PoolTimelines(horizon int64) []Timeline {
 	}
 	return tls
 }
-
-// LinkTotal aggregates one directed interconnect link's traffic.
-type LinkTotal struct {
-	Src, Dst    string
-	Msgs, Bytes int64
-}
-
-// LinkTotals returns per-link message and byte totals, in
-// first-appearance order of each (src, dst) pair.
-func (r *Recorder) LinkTotals() []LinkTotal {
-	type key struct{ src, dst string }
-	index := map[key]int{}
-	var out []LinkTotal
-	for _, e := range r.Events() {
-		if e.Kind != KindNetMsg {
-			continue
-		}
-		k := key{e.Node, e.Peer}
-		i, ok := index[k]
-		if !ok {
-			i = len(out)
-			index[k] = i
-			out = append(out, LinkTotal{Src: e.Node, Dst: e.Peer})
-		}
-		out[i].Msgs++
-		out[i].Bytes += e.Bytes
-	}
-	return out
-}

@@ -49,8 +49,10 @@ const (
 	// matching start time and End the completion, so End-T is the
 	// server-side latency.
 	KindReqEnd
-	// KindPoolBusy is one service-pool work item's busy interval on pool
-	// Node.
+	// KindPoolBusy is one handler thread's busy interval serving one
+	// file-system request (or, in tcfs, one prefetch). Node names the
+	// server's handler pool: "tc-svc:IOPn" from tcfs, "dd-work:IOPn"
+	// from core.
 	KindPoolBusy
 	// KindBuffer samples buffer/cache occupancy at Node: Bytes holds the
 	// occupied frame count, Depth the capacity.
@@ -219,7 +221,7 @@ func (r *Recorder) RequestEnd(node string, id, start, end int64) {
 	r.add(Event{Kind: KindReqEnd, T: start, End: end, Node: node, ID: id})
 }
 
-// PoolBusy records one service-pool work item's busy interval.
+// PoolBusy records one handler thread's busy interval on pool.
 func (r *Recorder) PoolBusy(pool string, start, end int64) {
 	if !r.keeps(KindPoolBusy) {
 		return

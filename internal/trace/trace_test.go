@@ -224,21 +224,3 @@ func TestRequestLatencies(t *testing.T) {
 		t.Fatalf("latency summary = %+v", sum)
 	}
 }
-
-// TestLinkTotals aggregates per directed link in first-appearance order.
-func TestLinkTotals(t *testing.T) {
-	r := New()
-	r.NetMsg("CP0", "IOP0", 0, 100)
-	r.NetMsg("CP1", "IOP0", 1, 50)
-	r.NetMsg("CP0", "IOP0", 2, 25)
-	lt := r.LinkTotals()
-	if len(lt) != 2 {
-		t.Fatalf("links = %+v", lt)
-	}
-	if lt[0].Src != "CP0" || lt[0].Msgs != 2 || lt[0].Bytes != 125 {
-		t.Fatalf("link 0 = %+v", lt[0])
-	}
-	if lt[1].Src != "CP1" || lt[1].Msgs != 1 || lt[1].Bytes != 50 {
-		t.Fatalf("link 1 = %+v", lt[1])
-	}
-}
