@@ -148,51 +148,22 @@ func BenchmarkFig4b(b *testing.B) {
 		[]ddio.Method{ddio.TraditionalCaching, ddio.DiskDirected})
 }
 
-// BenchmarkFig5: throughput vs number of CPs.
-func BenchmarkFig5(b *testing.B) {
-	o := benchOptions(1 * ddio.MiB)
-	for i := 0; i < b.N; i++ {
-		t, err := ddio.Figure5(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportTables(b, t)
-	}
-}
+// BenchmarkFig5 … BenchmarkFig8 regenerate the machine-shape figures:
+// throughput vs number of CPs (5), IOPs/busses (6), and disks on the
+// contiguous (7) and random-blocks (8) layouts.
+func BenchmarkFig5(b *testing.B) { benchFigure(b, "5") }
+func BenchmarkFig6(b *testing.B) { benchFigure(b, "6") }
+func BenchmarkFig7(b *testing.B) { benchFigure(b, "7") }
+func BenchmarkFig8(b *testing.B) { benchFigure(b, "8") }
 
-// BenchmarkFig6: throughput vs number of IOPs/busses.
-func BenchmarkFig6(b *testing.B) {
+func benchFigure(b *testing.B, fig string) {
 	o := benchOptions(1 * ddio.MiB)
 	for i := 0; i < b.N; i++ {
-		t, err := ddio.Figure6(o)
+		tables, err := ddio.Figure(o, fig)
 		if err != nil {
 			b.Fatal(err)
 		}
-		reportTables(b, t)
-	}
-}
-
-// BenchmarkFig7: throughput vs number of disks, contiguous.
-func BenchmarkFig7(b *testing.B) {
-	o := benchOptions(1 * ddio.MiB)
-	for i := 0; i < b.N; i++ {
-		t, err := ddio.Figure7(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportTables(b, t)
-	}
-}
-
-// BenchmarkFig8: throughput vs number of disks, random-blocks.
-func BenchmarkFig8(b *testing.B) {
-	o := benchOptions(1 * ddio.MiB)
-	for i := 0; i < b.N; i++ {
-		t, err := ddio.Figure8(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportTables(b, t)
+		reportTables(b, tables...)
 	}
 }
 

@@ -8,11 +8,12 @@
 // worker pool; tables are bit-identical for any -j, only the progress
 // line order changes.
 //
-// -sweep runs a declarative scale sweep instead: a built-in preset by
-// name (-sweeps lists them; the fig5-paper…fig8-paper presets emit
-// exactly the Figure 5–8 tables, the *-ext presets push the same axes
-// past the paper's 16 CPs/IOPs/disks) or a JSON spec file by path.
-// EXPERIMENTS.md documents every preset and the file format.
+// Every figure is a sweep preset, and -sweep runs presets directly: a
+// built-in preset by name (-sweeps lists them; the fig3a-paper…
+// fig8-paper presets emit exactly the Figure 3–8 tables, the *-ext
+// presets push the machine-shape axes past the paper's 16
+// CPs/IOPs/disks) or a JSON spec file by path. EXPERIMENTS.md documents
+// every preset and the file format.
 //
 // -plot additionally renders every emitted table as an SVG figure
 // (grouped bars for the pattern grids, line figures for the sweeps),
@@ -72,7 +73,11 @@ func main() {
 	if *listSweeps {
 		fmt.Printf("%-12s %-8s %-22s %s\n", "preset", "axis", "values", "title")
 		for _, s := range exp.Presets() {
-			fmt.Printf("%-12s %-8s %-22s %s\n", s.Name, s.Axis, trimJoin(s.Values), s.Title)
+			values := strings.Trim(strings.ReplaceAll(fmt.Sprint(s.Values), " ", ","), "[]")
+			if s.Axis == exp.AxisPattern {
+				values = fmt.Sprintf("%d patterns", len(s.Patterns))
+			}
+			fmt.Printf("%-12s %-8s %-22s %s\n", s.Name, s.Axis, values, s.Title)
 		}
 		return
 	}
@@ -114,8 +119,8 @@ func main() {
 	}
 
 	// printTable is the shared text + wide-CSV emission; emit adds the
-	// per-table SVG for the figure path (sweeps name their SVG after the
-	// spec instead, see below).
+	// figure path's per-table SVG and bare-Table JSON (sweeps name their
+	// files after the spec instead, see below).
 	printTable := func(t *exp.Table) {
 		fmt.Println(t.Format())
 		fmt.Printf("max cv %.3f\n\n", t.MaxCV())
@@ -128,6 +133,13 @@ func main() {
 			printTable(t)
 			if *plotOut {
 				writeOut(t.ID+".svg", []byte(plot.FigureSVG(t)))
+			}
+			if *jsonOut {
+				data, err := t.JSON()
+				if err != nil {
+					fatal(err)
+				}
+				writeOut(t.ID+".json", data)
 			}
 		}
 	}
@@ -177,26 +189,11 @@ func main() {
 		return
 	}
 
-	emitJSON := func(tables ...*exp.Table) {
-		if !*jsonOut {
-			return
-		}
-		for _, t := range tables {
-			data, err := t.JSON()
-			if err != nil {
-				fatal(err)
-			}
-			path := filepath.Join(*out, t.ID+".json")
-			if err := os.WriteFile(path, data, 0o644); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", path)
-		}
-	}
-
+	figs := []string{"3", "4", "5", "6", "7", "8"}
 	which := map[string]bool{}
 	if *all || (*fig == "" && !*traceRuns) {
-		for _, f := range []string{"table1", "3", "4", "5", "6", "7", "8"} {
+		which["table1"] = true
+		for _, f := range figs {
 			which[f] = true
 		}
 	}
@@ -220,41 +217,17 @@ func main() {
 		}
 		headlines = h
 		emit(tables...)
-		emitJSON(tables...)
 		which["3"], which["4"] = false, false
 	}
-	type gen2 func(exp.Options) ([]*exp.Table, error)
-	type gen1 func(exp.Options) (*exp.Table, error)
-	for _, g := range []struct {
-		key string
-		fn2 gen2
-		fn1 gen1
-	}{
-		{"3", exp.Figure3, nil},
-		{"4", exp.Figure4, nil},
-		{"5", nil, exp.Figure5},
-		{"6", nil, exp.Figure6},
-		{"7", nil, exp.Figure7},
-		{"8", nil, exp.Figure8},
-	} {
-		if !which[g.key] {
+	for _, f := range figs {
+		if !which[f] {
 			continue
 		}
-		if g.fn2 != nil {
-			tables, err := g.fn2(opt)
-			if err != nil {
-				fatal(err)
-			}
-			emit(tables...)
-			emitJSON(tables...)
-		} else {
-			t, err := g.fn1(opt)
-			if err != nil {
-				fatal(err)
-			}
-			emit(t)
-			emitJSON(t)
+		tables, err := exp.Figure(opt, f)
+		if err != nil {
+			fatal(err)
 		}
+		emit(tables...)
 	}
 	if headlines != nil {
 		fmt.Println(headlines.Format())
@@ -311,18 +284,6 @@ func traceFigure3Runs(opt exp.Options, outDir string, writeOut func(name string,
 		}
 		fmt.Fprintf(os.Stderr, "wrote %s\n", path)
 	}
-}
-
-// trimJoin renders an int slice compactly for the preset listing.
-func trimJoin(vs []int) string {
-	var b strings.Builder
-	for i, v := range vs {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%d", v)
-	}
-	return b.String()
 }
 
 func fatal(err error) {

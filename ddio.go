@@ -15,7 +15,7 @@
 //	fmt.Printf("%.1f MB/s\n", res.MBps)
 //
 // Every simulated transfer moves real bytes and is verified end to end.
-// Figure3 … Figure8 regenerate the paper's evaluation; README.md maps
+// Figure regenerates the paper's evaluation; README.md maps
 // each figure to its command and benchmark, and ARCHITECTURE.md tours
 // the simulation stack underneath.
 package ddio
@@ -137,31 +137,17 @@ func WritePatterns() []string { return hpf.WritePatterns() }
 // AllPatterns returns every pattern of Figures 3 and 4.
 func AllPatterns() []string { return hpf.AllPatterns() }
 
-// Figure3 regenerates Figure 3 (random-blocks layout; returns the
-// 8-byte and 8192-byte record tables).
-func Figure3(o Options) ([]*Table, error) { return exp.Figure3(o) }
-
-// Figure4 regenerates Figure 4 (contiguous layout).
-func Figure4(o Options) ([]*Table, error) { return exp.Figure4(o) }
-
-// Figure5 regenerates Figure 5 (varying the number of CPs).
-func Figure5(o Options) (*Table, error) { return exp.Figure5(o) }
-
-// Figure6 regenerates Figure 6 (varying the number of IOPs/busses).
-func Figure6(o Options) (*Table, error) { return exp.Figure6(o) }
-
-// Figure7 regenerates Figure 7 (varying disks, one bus, contiguous).
-func Figure7(o Options) (*Table, error) { return exp.Figure7(o) }
-
-// Figure8 regenerates Figure 8 (varying disks, one bus, random layout).
-func Figure8(o Options) (*Table, error) { return exp.Figure8(o) }
+// Figure regenerates one of the paper's figures, "3" through "8", by
+// running its *-paper sweep presets: the 8-byte and 8192-byte record
+// tables for Figures 3 and 4, one table for each of Figures 5–8.
+func Figure(o Options, fig string) ([]*Table, error) { return exp.Figure(o, fig) }
 
 // Table1 renders the simulator parameters (the paper's Table 1).
 func Table1() string { return exp.Table1() }
 
-// SweepPresets returns the built-in sweep specs: the fig5-paper…
-// fig8-paper presets behind Figure5…Figure8 and the extended presets
-// that push those figures past the paper's 16 CPs/IOPs/disks.
+// SweepPresets returns the built-in sweep specs: the fig3a-paper…
+// fig8-paper presets behind Figure and the extended presets that push
+// the machine-shape figures past the paper's 16 CPs/IOPs/disks.
 func SweepPresets() []*SweepSpec { return exp.Presets() }
 
 // LookupSweepPreset returns a fresh copy of the named built-in preset.

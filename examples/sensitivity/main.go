@@ -20,10 +20,10 @@ func main() {
 	opt.FileBytes = 2 * ddio.MiB
 	opt.Progress = func(line string) { fmt.Println("  ", line) }
 
-	table, err := ddio.Figure5(opt)
+	tables, err := ddio.Figure(opt, "5")
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println()
-	fmt.Println(table.Format())
+	fmt.Println(tables[0].Format())
 }

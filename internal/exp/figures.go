@@ -5,8 +5,6 @@ import (
 	"strings"
 
 	"ddio/internal/fault"
-	"ddio/internal/hpf"
-	"ddio/internal/pfs"
 	"ddio/internal/stats"
 	"ddio/internal/workload"
 )
@@ -109,122 +107,37 @@ func (a *cellAgg) done(trial int, res *Result) bool {
 
 func (a *cellAgg) cell() Cell { return Cell{Mean: mean(a.mbps), CV: cv(a.mbps)} }
 
-// patternTable measures patterns × methods at a fixed layout/record
-// size, running every (cell × trial) simulation on the options' worker
-// pool.
-func patternTable(o Options, id, title string, layout pfs.LayoutKind, recordSize int,
-	patterns []string, methods []Method) (*Table, error) {
-	t := &Table{ID: id, Title: title, RowLabel: "pattern", Rows: patterns}
-	for _, m := range methods {
-		t.Cols = append(t.Cols, m.String())
-	}
-	t.Cells = make([][]Cell, len(patterns))
-	for i := range t.Cells {
-		t.Cells[i] = make([]Cell, len(methods))
-	}
-	trials := o.trials()
-	cfgs := make([]Config, 0, len(patterns)*len(methods)*trials)
-	for _, pat := range patterns {
-		for _, method := range methods {
-			cfg := o.base()
-			cfg.Layout = layout
-			cfg.RecordSize = recordSize
-			cfg.Pattern = pat
-			cfg.Method = method
-			for k := 0; k < trials; k++ {
-				c := cfg
-				c.Seed = trialSeed(cfg.Seed, k)
-				cfgs = append(cfgs, c)
-			}
-		}
-	}
-	r := o.runner()
-	aggs := newCellAggs(len(patterns)*len(methods), trials)
-	_, err := r.RunAll(cfgs, func(idx int, res *Result) {
-		cell, trial := idx/trials, idx%trials
-		if aggs[cell].done(trial, res) {
-			i, j := cell/len(methods), cell%len(methods)
-			t.Cells[i][j] = aggs[cell].cell()
-			r.progressLocked("%s %-4s %-9v %7.2f MB/s (cv %.3f)",
-				id, patterns[i], methods[j], t.Cells[i][j].Mean, t.Cells[i][j].CV)
-		}
-	})
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", id, err)
-	}
-	return t, nil
+// paperFigures maps each of the paper's figures to the *-paper presets
+// that regenerate it, one table per preset, in table order.
+var paperFigures = map[string][]string{
+	"3": {"fig3a-paper", "fig3b-paper"},
+	"4": {"fig4a-paper", "fig4b-paper"},
+	"5": {"fig5-paper"},
+	"6": {"fig6-paper"},
+	"7": {"fig7-paper"},
+	"8": {"fig8-paper"},
 }
 
-// Figure3 reproduces the paper's Figure 3: all 19 patterns on the
-// random-blocks layout under traditional caching and disk-directed I/O
-// with and without presorting, for 8-byte (3a) and 8192-byte (3b)
-// records.
-func Figure3(o Options) ([]*Table, error) {
-	methods := []Method{TraditionalCaching, DiskDirected, DiskDirectedSort}
-	a, err := patternTable(o, "fig3a", "throughput (MB/s), random-blocks layout, 8-byte records",
-		pfs.RandomBlocks, 8, hpf.AllPatterns(), methods)
-	if err != nil {
-		return nil, err
-	}
-	b, err := patternTable(o, "fig3b", "throughput (MB/s), random-blocks layout, 8192-byte records",
-		pfs.RandomBlocks, 8192, hpf.AllPatterns(), methods)
-	if err != nil {
-		return nil, err
-	}
-	note := "ra throughput is normalized by the number of CPs, as in the paper"
-	a.Note, b.Note = note, note
-	return []*Table{a, b}, nil
-}
-
-// Figure4 reproduces Figure 4: the same grid on the contiguous layout
-// (presort is a no-op there, so DDIO runs unsorted, as plotted in the
-// paper).
-func Figure4(o Options) ([]*Table, error) {
-	methods := []Method{TraditionalCaching, DiskDirected}
-	a, err := patternTable(o, "fig4a", "throughput (MB/s), contiguous layout, 8-byte records",
-		pfs.Contiguous, 8, hpf.AllPatterns(), methods)
-	if err != nil {
-		return nil, err
-	}
-	b, err := patternTable(o, "fig4b", "throughput (MB/s), contiguous layout, 8192-byte records",
-		pfs.Contiguous, 8192, hpf.AllPatterns(), methods)
-	if err != nil {
-		return nil, err
-	}
-	base := o.base()
-	note := fmt.Sprintf("peak aggregate disk throughput is %.1f MB/s", base.MaxBandwidthMBps())
-	a.Note, b.Note = note, note
-	return []*Table{a, b}, nil
-}
-
-// runPreset runs a named built-in sweep preset (the machine-shape sweeps
-// of Figures 5–8 are presets; see presets.go and sweep.go).
-func runPreset(o Options, name string) (*Table, error) {
-	s, ok := LookupPreset(name)
+// Figure regenerates one of the paper's figures, "3" through "8", by
+// running its presets: Figures 3 and 4 are the pattern grids (8-byte and
+// 8192-byte records on the random-blocks and contiguous layouts),
+// Figures 5–8 the machine-shape sweeps over CPs, IOPs and disks.
+func Figure(o Options, fig string) ([]*Table, error) {
+	names, ok := paperFigures[fig]
 	if !ok {
-		return nil, fmt.Errorf("exp: unknown sweep preset %q", name)
+		return nil, fmt.Errorf("exp: no paper figure %q (want 3 to 8)", fig)
 	}
-	return s.Run(o)
+	tables := make([]*Table, len(names))
+	for i, name := range names {
+		s, _ := LookupPreset(name)
+		t, err := s.Run(o)
+		if err != nil {
+			return nil, err
+		}
+		tables[i] = t
+	}
+	return tables, nil
 }
-
-// Figure5 reproduces the paper's Figure 5: throughput as the number of
-// CPs varies (contiguous layout, 8 KB records, 16 IOPs and disks fixed).
-// It runs the fig5-paper sweep preset; fig5-ext extends the axis to 64
-// CPs (see presets.go and EXPERIMENTS.md).
-func Figure5(o Options) (*Table, error) { return runPreset(o, "fig5-paper") }
-
-// Figure6 reproduces Figure 6: the number of IOPs (and busses) varies
-// while 16 disks are redistributed among them (the fig6-paper preset).
-func Figure6(o Options) (*Table, error) { return runPreset(o, "fig6-paper") }
-
-// Figure7 reproduces Figure 7: the number of disks varies on a single
-// IOP/bus, contiguous layout (the fig7-paper preset).
-func Figure7(o Options) (*Table, error) { return runPreset(o, "fig7-paper") }
-
-// Figure8 reproduces Figure 8: as Figure 7 but on the random-blocks
-// layout, where disk-directed I/O presorts, as in the paper (the
-// fig8-paper preset).
-func Figure8(o Options) (*Table, error) { return runPreset(o, "fig8-paper") }
 
 // Table1 renders the simulator parameters (the paper's Table 1).
 func Table1() string {

@@ -11,17 +11,30 @@ func tinyOptions() Options {
 	return Options{Trials: 1, FileBytes: 1 * MiB, Seed: 3, Verify: true}
 }
 
+// tinyPatternSpec is a minimal pattern-axis grid (two patterns × two
+// file systems) for shape, determinism and progress tests.
+func tinyPatternSpec() *SweepSpec {
+	return &SweepSpec{
+		Name: "figT", Title: "test", Axis: AxisPattern,
+		Layout: "contiguous", Methods: []string{"tc", "ddio"}, Patterns: []string{"rb", "rc"},
+	}
+}
+
 func TestPatternTableShape(t *testing.T) {
-	o := tinyOptions()
-	tab, err := patternTable(o, "figT", "test", pfs.Contiguous, 8192,
-		[]string{"rb", "rc"}, []Method{TraditionalCaching, DiskDirected})
+	tab, err := tinyPatternSpec().Run(tinyOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(tab.Rows) != 2 || len(tab.Cols) != 2 || len(tab.Cells) != 2 {
 		t.Fatalf("table shape %dx%d", len(tab.Rows), len(tab.Cols))
 	}
+	if tab.RowLabel != "pattern" || tab.Rows[1] != "rc" || tab.Cols[0] != "TC" || tab.Cols[1] != "DDIO" {
+		t.Fatalf("labels: row %q %v, cols %v", tab.RowLabel, tab.Rows, tab.Cols)
+	}
 	for i := range tab.Cells {
+		if len(tab.Cells[i]) != 2 {
+			t.Fatalf("row %d has %d cells; the pattern axis has no max-bw column", i, len(tab.Cells[i]))
+		}
 		for j := range tab.Cells[i] {
 			if tab.Cells[i][j].Mean <= 0 {
 				t.Fatalf("cell (%d,%d) empty", i, j)

@@ -44,6 +44,11 @@ var specSeeds = []string{
 		"patterns":["ra"],"bogus":1}`,
 	`{"name":"x","title":"t","axis":"cps","values":[99999999999999999999],
 		"layout":"contiguous","methods":["tc"],"patterns":["ra"]}`,
+	// The pattern axis: a valid grid, and one that wrongly sets values.
+	`{"name":"g","title":"t","axis":"pattern","layout":"random-blocks",
+		"methods":["tc","ddio-sort"],"patterns":["ra","wc"],"record":8}`,
+	`{"name":"g","title":"t","axis":"pattern","values":[1],"layout":"random-blocks",
+		"methods":["tc"],"patterns":["ra"]}`,
 }
 
 func FuzzParseSweepSpec(f *testing.F) {
@@ -62,7 +67,7 @@ func FuzzParseSweepSpec(f *testing.F) {
 		// A spec that parsed is valid by construction; expanding it must
 		// not panic. Bound the grid so a fuzz-found "valid but huge"
 		// spec costs allocation, not minutes.
-		n := len(s.Values) * len(s.Methods) * len(s.Patterns)
+		n := max(len(s.Values), 1) * len(s.Methods) * len(s.Patterns) // the pattern axis has no values
 		if len(s.Values2) > 0 {
 			n *= len(s.Values2)
 		}

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -29,11 +30,11 @@ type Headlines struct {
 // worker pool and distills the headline claims from them. The tables
 // are returned too so callers can render them without a second pass.
 func RegenerateHeadlines(o Options) (*Headlines, []*Table, error) {
-	fig3, err := Figure3(o)
+	fig3, err := Figure(o, "3")
 	if err != nil {
 		return nil, nil, err
 	}
-	fig4, err := Figure4(o)
+	fig4, err := Figure(o, "4")
 	if err != nil {
 		return nil, nil, err
 	}
@@ -51,8 +52,9 @@ func ComputeHeadlines(fig3, fig4 []*Table, ceilingMBps float64) (*Headlines, err
 	if len(fig3) != 2 || len(fig4) != 2 {
 		return nil, fmt.Errorf("exp: headlines need both record-size tables of figures 3 and 4")
 	}
-	h := &Headlines{PresortGainMin: -1}
+	h := &Headlines{}
 	var contigRatios []float64
+	gains := 0 // presort gains seen so far
 	for ti, t := range fig3 {
 		for _, row := range t.Rows {
 			tc, ok1 := t.Cell(row, "TC")
@@ -66,12 +68,13 @@ func ComputeHeadlines(fig3, fig4 []*Table, ceilingMBps float64) (*Headlines, err
 				h.MaxSpeedupRandomAt = fmt.Sprintf("%s, %s records", row, recordLabel(ti))
 			}
 			gain := dds.Mean/dd.Mean - 1
-			if h.PresortGainMin < 0 || gain < h.PresortGainMin {
+			if gains == 0 || gain < h.PresortGainMin {
 				h.PresortGainMin = gain
 			}
-			if gain > h.PresortGainMax {
+			if gains == 0 || gain > h.PresortGainMax {
 				h.PresortGainMax = gain
 			}
+			gains++
 			// Pair with the contiguous table for the layout ratio.
 			if c4, ok := fig4[ti].Cell(row, "DDIO"); ok && dds.Mean > 0 {
 				contigRatios = append(contigRatios, c4.Mean/dds.Mean)
@@ -110,12 +113,8 @@ func recordLabel(tableIndex int) string {
 }
 
 func median(xs []float64) float64 {
-	s := append([]float64(nil), xs...)
-	for i := 1; i < len(s); i++ { // insertion sort; n is tiny
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
+	s := slices.Clone(xs)
+	slices.Sort(s)
 	return s[len(s)/2]
 }
 

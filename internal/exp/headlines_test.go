@@ -64,6 +64,21 @@ func TestComputeHeadlines(t *testing.T) {
 			t.Errorf("formatted headlines missing %q:\n%s", want, out)
 		}
 	}
+
+	// The presort-gain range is a true minimum and maximum: a negative
+	// gain early in the grid must neither be overwritten by every later
+	// cell nor leave the maximum at its zero value.
+	fig3 = []*Table{
+		// Gains: ra 3/4-1 = -0.25, rc 6/4-1 = 0.5; then 0.25 and 0.1.
+		fakeFig(cols3, map[string][]float64{"ra": {1.0, 4.0, 3.0}, "rc": {0.8, 4.0, 6.0}}),
+		fakeFig(cols3, map[string][]float64{"ra": {3.0, 4.0, 5.0}, "rc": {2.0, 4.0, 4.4}}),
+	}
+	if h, err = ComputeHeadlines(fig3, fig4, 34.8); err != nil {
+		t.Fatal(err)
+	}
+	if h.PresortGainMin != -0.25 || h.PresortGainMax != 0.5 {
+		t.Fatalf("presort range %.3f..%.3f, want -0.250..0.500", h.PresortGainMin, h.PresortGainMax)
+	}
 }
 
 func TestComputeHeadlinesRejectsWrongShape(t *testing.T) {
@@ -81,8 +96,21 @@ func TestMedian(t *testing.T) {
 	}
 }
 
-// RegenerateHeadlines runs the full Figure 3+4 grid (scaled down) and
-// must produce positive headline ratios and all four tables.
+// RegenerateHeadlines runs the full Figure 3+4 grid (scaled down to a
+// 512 KiB file, one trial, seed 5) and asserts the paper's qualitative
+// claims on it. Measured on this grid, against the paper's 10 MB runs:
+//
+//   - DDIO+sort >= TC in every Figure 3 cell (worst ratio 1.05; the
+//     paper: disk-directed I/O never loses to traditional caching);
+//   - DDIO >= TC in every Figure 4 cell (worst ratio 0.9998, a saturated
+//     write tie);
+//   - presort gain 0.7%..28% (paper: 41-50%), always positive;
+//   - best DDIO fraction of the hardware ceiling 0.51 (paper: 0.93);
+//   - contiguous over random, median 3.6x (paper: ~5x).
+//
+// The 1% slack on the ratios covers saturated ties. Unsorted DDIO on
+// random-blocks falls up to 5% below TC here (worst ratio 0.95), and the
+// paper does not claim otherwise, so it is left unasserted.
 func TestRegenerateHeadlines(t *testing.T) {
 	if testing.Short() {
 		t.Skip("regenerates the full pattern grid")
@@ -97,5 +125,27 @@ func TestRegenerateHeadlines(t *testing.T) {
 	}
 	if h.MaxSpeedupRandom <= 1 || h.MaxSpeedupContig <= 1 {
 		t.Fatalf("headline speedups not positive: %+v", h)
+	}
+	atLeast := func(tab *Table, better string) {
+		for _, row := range tab.Rows {
+			tc, _ := tab.Cell(row, "TC")
+			dd, ok := tab.Cell(row, better)
+			if !ok || dd.Mean < 0.99*tc.Mean {
+				t.Errorf("%s %s: %s %.3f below TC %.3f", tab.ID, row, better, dd.Mean, tc.Mean)
+			}
+		}
+	}
+	atLeast(tables[0], "DDIO+sort")
+	atLeast(tables[1], "DDIO+sort")
+	atLeast(tables[2], "DDIO")
+	atLeast(tables[3], "DDIO")
+	if h.PresortGainMin <= 0 {
+		t.Errorf("presort gain minimum %.4f, want > 0", h.PresortGainMin)
+	}
+	if h.PeakFraction < 0.4 || h.PeakFraction > 0.65 {
+		t.Errorf("peak fraction %.3f outside [0.40, 0.65] around the measured 0.51", h.PeakFraction)
+	}
+	if h.ContigOverRandom < 2.5 || h.ContigOverRandom > 5 {
+		t.Errorf("contiguous over random %.2fx outside [2.5, 5] around the measured 3.6x", h.ContigOverRandom)
 	}
 }

@@ -17,7 +17,8 @@ import (
 // The column set adapts to what the sweep measured, keeping the classic
 // single-axis output byte-identical (pinned by TestLongCSV): two-axis
 // surfaces insert axis2,value2 after value, and workload sweeps append
-// p50_ms,p90_ms,p99_ms request-latency columns after max_bw_mbps.
+// p50_ms,p90_ms,p99_ms request-latency columns after max_bw_mbps. On the
+// pattern axis the value column holds the row's pattern.
 func (r *SweepResult) LongCSV() string {
 	var b strings.Builder
 	s := r.Spec
@@ -31,18 +32,24 @@ func (r *SweepResult) LongCSV() string {
 		b.WriteString(",p50_ms,p90_ms,p99_ms")
 	}
 	b.WriteByte('\n')
-	nPat := len(s.Patterns)
+	// Pattern-axis tables carry no max-bw column; their machine is fixed,
+	// so one ceiling serves every row.
+	ceiling := 0.0
+	if s.Axis == AxisPattern {
+		cfg := s.rowConfig(Options{}, axisPoint{})
+		ceiling = cfg.MaxBandwidthMBps()
+	}
 	for vi, pt := range s.rowPoints() {
-		ceiling := 0.0
-		if cells := r.Table.Cells[vi]; len(cells) > 0 {
+		if cells := r.Table.Cells[vi]; s.Axis != AxisPattern && len(cells) > 0 {
 			ceiling = cells[len(cells)-1].Mean // trailing max-bw column
 		}
 		for ci, sum := range r.CellStats[vi] {
-			method := s.Methods[ci/nPat]
-			pattern := s.Patterns[ci%nPat]
-			fmt.Fprintf(&b, "%s,%s,%s,%d", s.Name, r.Table.ID, s.Axis, pt.v)
+			mi, pattern := s.cellAt(vi, ci)
+			method := s.Methods[mi]
 			if s.Axis2 != "" {
-				fmt.Fprintf(&b, ",%s,%d", s.Axis2, pt.v2)
+				fmt.Fprintf(&b, "%s,%s,%s,%d,%s,%d", s.Name, r.Table.ID, s.Axis, pt.v, s.Axis2, pt.v2)
+			} else { // the label is the axis value or, on the pattern axis, the pattern
+				fmt.Fprintf(&b, "%s,%s,%s,%s", s.Name, r.Table.ID, s.Axis, pt.label)
 			}
 			fmt.Fprintf(&b, ",%s,%s,%d,%.3f,%.4f,%.4f,%.3f,%.3f,%.3f",
 				method, pattern,

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"ddio/internal/pfs"
 	"ddio/internal/workload"
 )
 
@@ -15,41 +14,29 @@ func parOptions(workers int) Options {
 	return Options{Trials: 2, FileBytes: 512 * 1024, Seed: 9, Verify: true, Workers: workers}
 }
 
-// The tentpole determinism contract: a figure table generated on eight
-// workers must be bit-identical to the sequential one — seeds derive
-// from (cell, trial) position and results are slotted by index, so
-// scheduling order cannot leak into the cells.
-func TestPatternTableParallelBitIdentical(t *testing.T) {
-	patterns := []string{"ra", "rb", "rc"}
-	methods := []Method{TraditionalCaching, DiskDirected}
-	seq, err := patternTable(parOptions(1), "figP", "test", pfs.RandomBlocks, 8192, patterns, methods)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := patternTable(parOptions(8), "figP", "test", pfs.RandomBlocks, 8192, patterns, methods)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seq.Cells, par.Cells) {
-		t.Fatalf("parallel cells differ from sequential:\nseq %+v\npar %+v", seq.Cells, par.Cells)
-	}
-}
-
-// The same contract for the machine-shape sweeps (a scaled Figure 5,
-// expressed as a sweep spec).
+// The determinism contract: a table generated on eight workers must be
+// bit-identical to the sequential one — seeds derive from (cell, trial)
+// position and results are slotted by index, so scheduling order cannot
+// leak into the cells. Checked on a scaled Figure 5 (a CP sweep) and a
+// scaled Figure 3 (a pattern-axis grid on the random-blocks layout).
 func TestSweepTableParallelBitIdentical(t *testing.T) {
-	spec := tinySweepSpec()
-	spec.Values = []int{1, 4}
-	seq, err := spec.Run(parOptions(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := spec.Run(parOptions(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seq.Cells, par.Cells) {
-		t.Fatalf("parallel cells differ from sequential:\nseq %+v\npar %+v", seq.Cells, par.Cells)
+	cps := tinySweepSpec()
+	cps.Values = []int{1, 4}
+	patterns := tinyPatternSpec()
+	patterns.Layout = "random-blocks"
+	patterns.Patterns = []string{"ra", "rb", "rc"}
+	for _, spec := range []*SweepSpec{cps, patterns} {
+		seq, err := spec.Run(parOptions(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		par, err := spec.Run(parOptions(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(seq.Cells, par.Cells) {
+			t.Fatalf("%s axis: parallel cells differ from sequential:\nseq %+v\npar %+v", spec.Axis, seq.Cells, par.Cells)
+		}
 	}
 }
 
@@ -77,16 +64,17 @@ func TestParallelProgressSerialized(t *testing.T) {
 	var lines []string
 	o := parOptions(8)
 	o.Progress = func(s string) { lines = append(lines, s) } // safe: called under the runner lock
-	patterns := []string{"ra", "rb"}
-	methods := []Method{TraditionalCaching, DiskDirected}
-	if _, err := patternTable(o, "figQ", "test", pfs.Contiguous, 8192, patterns, methods); err != nil {
+	spec := tinyPatternSpec()
+	spec.Name = "figQ"
+	spec.Patterns = []string{"ra", "rb"}
+	if _, err := spec.Run(o); err != nil {
 		t.Fatal(err)
 	}
-	if len(lines) != len(patterns)*len(methods) {
-		t.Fatalf("got %d progress lines, want %d: %q", len(lines), len(patterns)*len(methods), lines)
+	if want := len(spec.Patterns) * len(spec.Methods); len(lines) != want {
+		t.Fatalf("got %d progress lines, want %d: %q", len(lines), want, lines)
 	}
 	for _, l := range lines {
-		if !strings.HasPrefix(l, "figQ ") || !strings.Contains(l, "MB/s") {
+		if !strings.HasPrefix(l, "figQ pattern=") || !strings.Contains(l, "MB/s") {
 			t.Fatalf("malformed progress line %q", l)
 		}
 	}

@@ -1,10 +1,11 @@
 package exp
 
-// sweep.go is the declarative scale-sweep layer: a SweepSpec names the
-// swept axis (CPs, IOPs, disks, or record size), the values to sweep,
-// and the fixed machine/workload shape around it, and expands into the
-// same (cell × trial) config grid the hard-coded figure generators used
-// to build by hand. Figures 5–8 are now instances of specs (see
+// sweep.go is the declarative sweep layer: a SweepSpec names the swept
+// axis (CPs, IOPs, disks, record size, a fault or arrival rate, or the
+// access patterns themselves), the values to sweep, and the fixed
+// machine/workload shape around it, and expands into the same
+// (cell × trial) config grid the hard-coded figure generators used to
+// build by hand. Every paper figure (3–8) is an instance of a spec (see
 // presets.go); extended presets push the same figures past the paper's
 // 1994 hardware envelope. Specs serialize to/from JSON, so experiments
 // can be defined in files and re-run exactly (EXPERIMENTS.md documents
@@ -41,6 +42,12 @@ const (
 	// Workload template — every poisson phase is re-rated to the axis
 	// value on a clone, so one spec charts throughput versus offered load.
 	AxisWLRate = "wlrate"
+
+	// AxisPattern makes the access patterns the rows and the methods the
+	// columns: the patterns × file-systems grid of Figures 3 and 4. It
+	// takes no values and no second axis, and its table has no max-bw
+	// column (the machine is fixed, so every row shares one ceiling).
+	AxisPattern = "pattern"
 )
 
 // axisInfo maps an axis name to its table row label, the config field it
@@ -77,14 +84,19 @@ var axisInfo = map[string]struct {
 		w.SetOpenRate(float64(v))
 		c.Workload = w
 	}},
+	AxisPattern: {"pattern", 0, func(*Config, int) {}}, // rowPatterns sets each row's pattern
 }
+
+// axisNames lists the accepted axis names for error messages.
+const axisNames = "cps, iops, disks, record, faultpm, losspm, stragglers, wlrate or pattern"
 
 // SweepSpec declaratively describes one machine/workload sweep: one
 // swept axis crossed with a pattern × method grid, everything else held
 // fixed. A spec expands into the experiment runner's (cell × trial)
 // config grid and renders as the same row-per-value table the paper's
 // Figures 5–8 use, so the canonical figures are just specs whose axes
-// stop at the paper's ranges.
+// stop at the paper's ranges. On the pattern axis the rows are the
+// patterns and the columns the methods, the grid of Figures 3 and 4.
 //
 // The zero values of the optional fields defer to the paper's Table 1
 // machine and the caller's Options, which is what keeps the paper-range
@@ -104,10 +116,12 @@ type SweepSpec struct {
 	// Note, if set, is appended to the rendered table.
 	Note string `json:"note,omitempty"`
 
-	// Axis is the swept parameter: "cps", "iops", "disks" or "record".
+	// Axis is the swept parameter: "cps", "iops", "disks", "record", a
+	// fault or arrival-rate axis, or "pattern" (one row per pattern).
 	Axis string `json:"axis"`
-	// Values are the axis values, one table row each.
-	Values []int `json:"values"`
+	// Values are the axis values, one table row each; the pattern axis
+	// takes none.
+	Values []int `json:"values,omitempty"`
 
 	// Axis2 and Values2, when set, turn the sweep into a response
 	// surface: the table gets one row per (Values × Values2) pair, first
@@ -125,7 +139,8 @@ type SweepSpec struct {
 	// (names as ParseMethod accepts: "tc", "ddio", "ddio-sort", "2phase").
 	Methods []string `json:"methods"`
 	// Patterns are the access patterns, in column order within each
-	// method group (paper shorthand: "ra", "rb", "rc", ...).
+	// method group (paper shorthand: "ra", "rb", "rc", ...), or in row
+	// order on the pattern axis.
 	Patterns []string `json:"patterns"`
 	// Record is the fixed record size in bytes; 0 means the paper's
 	// 8 KB. Ignored when Axis is "record".
@@ -175,7 +190,9 @@ func (s *SweepSpec) Validate() error {
 	switch {
 	case s.Name == "":
 		return fmt.Errorf("exp: sweep spec needs a name")
-	case len(s.Values) == 0:
+	case s.Axis == AxisPattern && (len(s.Values) > 0 || s.Axis2 != "" || len(s.Values2) > 0):
+		return fmt.Errorf("exp: sweep %q: the pattern axis takes no values, axis2 or values2", s.Name)
+	case len(s.Values) == 0 && s.Axis != AxisPattern:
 		return fmt.Errorf("exp: sweep %q has no axis values", s.Name)
 	case len(s.Methods) == 0:
 		return fmt.Errorf("exp: sweep %q has no methods", s.Name)
@@ -186,7 +203,7 @@ func (s *SweepSpec) Validate() error {
 	}
 	axis, ok := axisInfo[s.Axis]
 	if !ok {
-		return fmt.Errorf("exp: sweep %q: unknown axis %q (want cps, iops, disks, record, faultpm, losspm, stragglers or wlrate)", s.Name, s.Axis)
+		return fmt.Errorf("exp: sweep %q: unknown axis %q (want %s)", s.Name, s.Axis, axisNames)
 	}
 	for _, v := range s.Values {
 		if v < axis.min {
@@ -198,9 +215,9 @@ func (s *SweepSpec) Validate() error {
 	}
 	if s.Axis2 != "" {
 		axis2, ok := axisInfo[s.Axis2]
-		if !ok {
+		if !ok || s.Axis2 == AxisPattern {
 			return &SpecError{Spec: s.Name, Field: "axis2",
-				Msg: fmt.Sprintf("unknown axis %q (want cps, iops, disks, record, faultpm, losspm, stragglers or wlrate)", s.Axis2)}
+				Msg: fmt.Sprintf("unknown axis %q (want %s, except pattern)", s.Axis2, axisNames)}
 		}
 		if s.Axis2 == s.Axis {
 			return &SpecError{Spec: s.Name, Field: "axis2",
@@ -304,14 +321,6 @@ func (s *SweepSpec) options(o Options) Options {
 	return o
 }
 
-// record returns the fixed record size (the paper's 8 KB by default).
-func (s *SweepSpec) record() int {
-	if s.Record > 0 {
-		return s.Record
-	}
-	return 8192
-}
-
 // methods parses the method list (Validate has already vetted it).
 func (s *SweepSpec) methods() []Method {
 	ms := make([]Method, len(s.Methods))
@@ -328,10 +337,18 @@ type axisPoint struct {
 	v, v2 int
 }
 
-// rowPoints returns one point per table row: the axis values of a
-// single-axis sweep, or the Values × Values2 cross-product (first axis
-// outermost) of a two-axis surface, row-labeled "v1×v2".
+// rowPoints returns one point per table row: the patterns of a
+// pattern-axis sweep, the axis values of a single-axis sweep, or the
+// Values × Values2 cross-product (first axis outermost) of a two-axis
+// surface, row-labeled "v1×v2".
 func (s *SweepSpec) rowPoints() []axisPoint {
+	if s.Axis == AxisPattern {
+		pts := make([]axisPoint, len(s.Patterns))
+		for i, p := range s.Patterns {
+			pts[i] = axisPoint{label: p}
+		}
+		return pts
+	}
 	if s.Axis2 == "" {
 		pts := make([]axisPoint, len(s.Values))
 		for i, v := range s.Values {
@@ -346,6 +363,57 @@ func (s *SweepSpec) rowPoints() []axisPoint {
 		}
 	}
 	return pts
+}
+
+// rowPatterns returns the patterns measured in table row i, in column
+// order within each method group: every pattern on a value axis, the
+// row's own pattern on the pattern axis.
+func (s *SweepSpec) rowPatterns(i int) []string {
+	if s.Axis == AxisPattern {
+		return s.Patterns[i : i+1]
+	}
+	return s.Patterns
+}
+
+// cellsPerRow is the number of measured cells in each table row.
+func (s *SweepSpec) cellsPerRow() int { return len(s.Methods) * len(s.rowPatterns(0)) }
+
+// cellAt returns the method index and the pattern of measured cell
+// (row, col): columns run method-major, patterns within each method.
+func (s *SweepSpec) cellAt(row, col int) (int, string) {
+	pats := s.rowPatterns(row)
+	return col / len(pats), pats[col%len(pats)]
+}
+
+// rowConfig returns the configuration every cell of row pt shares before
+// its method and pattern are set: the options' base, the spec's layout,
+// record size, machine shape and templates, then the row's axis values.
+func (s *SweepSpec) rowConfig(o Options, pt axisPoint) Config {
+	cfg := o.base()
+	cfg.Layout, _ = pfs.ParseLayout(s.Layout)
+	if s.Record > 0 { // else the paper's 8 KB
+		cfg.RecordSize = s.Record
+	}
+	if s.CPs > 0 {
+		cfg.NCP = s.CPs
+	}
+	if s.IOPs > 0 {
+		cfg.NIOP = s.IOPs
+	}
+	if s.Disks > 0 {
+		cfg.NDisks = s.Disks
+	}
+	if s.Faults != nil {
+		cfg.Faults = s.Faults
+	}
+	if s.Workload != nil {
+		cfg.Workload = s.Workload
+	}
+	axisInfo[s.Axis].apply(&cfg, pt.v)
+	if s.Axis2 != "" {
+		axisInfo[s.Axis2].apply(&cfg, pt.v2)
+	}
+	return cfg
 }
 
 // rowLabel returns the table's row-label header: the axis label, or
@@ -368,51 +436,34 @@ func (s *SweepSpec) Expand(o Options) (*Table, []Config, error) {
 		return nil, nil, err
 	}
 	o = s.options(o)
-	layout, _ := pfs.ParseLayout(s.Layout)
 	methods := s.methods()
-	axis := axisInfo[s.Axis]
 	points := s.rowPoints()
 	t := &Table{ID: s.TableID(), Title: s.Title, RowLabel: s.rowLabel(), Note: s.Note}
 	for _, m := range methods {
+		if s.Axis == AxisPattern {
+			t.Cols = append(t.Cols, m.String())
+			continue
+		}
 		for _, p := range s.Patterns {
 			t.Cols = append(t.Cols, fmt.Sprintf("%s %s", m, p))
 		}
 	}
-	t.Cols = append(t.Cols, "max-bw")
-	cellsPerRow := len(methods) * len(s.Patterns)
+	cellsPerRow := s.cellsPerRow()
+	if s.Axis != AxisPattern {
+		t.Cols = append(t.Cols, "max-bw")
+	}
 	trials := o.trials()
 	cfgs := make([]Config, 0, len(points)*cellsPerRow*trials)
 	t.Cells = make([][]Cell, len(points))
 	for pi, pt := range points {
 		t.Rows = append(t.Rows, pt.label)
-		t.Cells[pi] = make([]Cell, cellsPerRow+1)
+		t.Cells[pi] = make([]Cell, len(t.Cols))
 		var ceiling float64
 		for _, m := range methods {
-			for _, p := range s.Patterns {
-				cfg := o.base()
-				cfg.Layout = layout
-				cfg.RecordSize = s.record()
+			for _, p := range s.rowPatterns(pi) {
+				cfg := s.rowConfig(o, pt)
 				cfg.Pattern = p
 				cfg.Method = m
-				if s.CPs > 0 {
-					cfg.NCP = s.CPs
-				}
-				if s.IOPs > 0 {
-					cfg.NIOP = s.IOPs
-				}
-				if s.Disks > 0 {
-					cfg.NDisks = s.Disks
-				}
-				if s.Faults != nil {
-					cfg.Faults = s.Faults
-				}
-				if s.Workload != nil {
-					cfg.Workload = s.Workload
-				}
-				axis.apply(&cfg, pt.v)
-				if s.Axis2 != "" {
-					axisInfo[s.Axis2].apply(&cfg, pt.v2)
-				}
 				ceiling = cfg.MaxBandwidthMBps()
 				for k := 0; k < trials; k++ {
 					c := cfg
@@ -421,7 +472,9 @@ func (s *SweepSpec) Expand(o Options) (*Table, []Config, error) {
 				}
 			}
 		}
-		t.Cells[pi][cellsPerRow] = Cell{Mean: ceiling}
+		if s.Axis != AxisPattern {
+			t.Cells[pi][cellsPerRow] = Cell{Mean: ceiling}
+		}
 	}
 	return t, cfgs, nil
 }
@@ -429,9 +482,10 @@ func (s *SweepSpec) Expand(o Options) (*Table, []Config, error) {
 // SweepResult is the machine-readable outcome of one executed sweep: the
 // spec that produced it, the rendered table, and per measured cell the
 // full descriptive statistics over its trials (the table keeps only
-// mean and CV). CellStats is indexed [row][method×pattern column] and
-// excludes the table's trailing max-bw column, which is a hardware
-// ceiling, not a measurement.
+// mean and CV). CellStats is indexed [row][method×pattern column]
+// ([pattern][method] on the pattern axis) and excludes the table's
+// trailing max-bw column, which is a hardware ceiling, not a
+// measurement.
 type SweepResult struct {
 	Spec      *SweepSpec        `json:"spec"`       // the spec that ran
 	Table     *Table            `json:"table"`      // rendered figure table
@@ -481,7 +535,7 @@ func (s *SweepSpec) RunFull(o Options) (*SweepResult, error) {
 	}
 	o = s.options(o)
 	methods := s.methods()
-	cellsPerRow := len(methods) * len(s.Patterns)
+	cellsPerRow := s.cellsPerRow()
 	trials := o.trials()
 	nRows := len(t.Rows)
 	cellStats := make([][]stats.Summary, nRows)
@@ -520,9 +574,9 @@ func (s *SweepSpec) RunFull(o Options) (*SweepResult, error) {
 			if cellLat != nil {
 				cellLat[vi][ci] = stats.Combine(aggs[cell].lat)
 			}
+			mi, p := s.cellAt(vi, ci)
 			r.progressLocked("%s %s=%s %-4s %-9v %7.2f MB/s (cv %.3f)", t.ID, t.RowLabel,
-				t.Rows[vi], s.Patterns[ci%len(s.Patterns)], methods[ci/len(s.Patterns)],
-				t.Cells[vi][ci].Mean, t.Cells[vi][ci].CV)
+				t.Rows[vi], p, methods[mi], t.Cells[vi][ci].Mean, t.Cells[vi][ci].CV)
 		}
 	})
 	if err != nil {

@@ -1,12 +1,14 @@
 package exp
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 
+	"ddio/internal/hpf"
 	"ddio/internal/pfs"
 )
 
@@ -56,13 +58,69 @@ func legacyExpand(o Options, id, title, rowLabel string, values []int,
 	return t, cfgs
 }
 
+// legacyPatternExpand is a verbatim transcription of the expansion half
+// of patternTable, the hard-coded builder of Figures 3 and 4 before the
+// pattern axis existed, with the note Figure3 and Figure4 attached to
+// its tables: patterns outermost, then methods, then trials.
+func legacyPatternExpand(o Options, id, title, note string, layout pfs.LayoutKind, recordSize int,
+	patterns []string, methods []Method) (*Table, []Config) {
+	t := &Table{ID: id, Title: title, RowLabel: "pattern", Rows: patterns, Note: note}
+	for _, m := range methods {
+		t.Cols = append(t.Cols, m.String())
+	}
+	t.Cells = make([][]Cell, len(patterns))
+	for i := range t.Cells {
+		t.Cells[i] = make([]Cell, len(methods))
+	}
+	trials := o.trials()
+	cfgs := make([]Config, 0, len(patterns)*len(methods)*trials)
+	for _, pat := range patterns {
+		for _, method := range methods {
+			cfg := o.base()
+			cfg.Layout = layout
+			cfg.RecordSize = recordSize
+			cfg.Pattern = pat
+			cfg.Method = method
+			for k := 0; k < trials; k++ {
+				c := cfg
+				c.Seed = trialSeed(cfg.Seed, k)
+				cfgs = append(cfgs, c)
+			}
+		}
+	}
+	return t, cfgs
+}
+
 // TestPaperPresetsMatchLegacyExpansion is the golden contract of the
-// sweep layer: the four paper-range presets expand — skeleton and config
-// grid — exactly as the retired hard-coded Figure 5–8 generators did, at
+// sweep layer: the eight paper presets expand — skeleton and config
+// grid — exactly as the retired hard-coded Figure 3–8 generators did, at
 // both the paper's default options and scaled-down ones. No simulation
 // runs; identical configs imply bit-identical tables.
 func TestPaperPresetsMatchLegacyExpansion(t *testing.T) {
+	fig3Methods := []Method{TraditionalCaching, DiskDirected, DiskDirectedSort}
+	fig4Methods := []Method{TraditionalCaching, DiskDirected}
+	fig3Note := "ra throughput is normalized by the number of CPs, as in the paper"
+	fig4Note := func(o Options) string {
+		base := o.base()
+		return fmt.Sprintf("peak aggregate disk throughput is %.1f MB/s", base.MaxBandwidthMBps())
+	}
 	legacy := map[string]func(o Options) (*Table, []Config){
+		"fig3a-paper": func(o Options) (*Table, []Config) {
+			return legacyPatternExpand(o, "fig3a", "throughput (MB/s), random-blocks layout, 8-byte records",
+				fig3Note, pfs.RandomBlocks, 8, hpf.AllPatterns(), fig3Methods)
+		},
+		"fig3b-paper": func(o Options) (*Table, []Config) {
+			return legacyPatternExpand(o, "fig3b", "throughput (MB/s), random-blocks layout, 8192-byte records",
+				fig3Note, pfs.RandomBlocks, 8192, hpf.AllPatterns(), fig3Methods)
+		},
+		"fig4a-paper": func(o Options) (*Table, []Config) {
+			return legacyPatternExpand(o, "fig4a", "throughput (MB/s), contiguous layout, 8-byte records",
+				fig4Note(o), pfs.Contiguous, 8, hpf.AllPatterns(), fig4Methods)
+		},
+		"fig4b-paper": func(o Options) (*Table, []Config) {
+			return legacyPatternExpand(o, "fig4b", "throughput (MB/s), contiguous layout, 8192-byte records",
+				fig4Note(o), pfs.Contiguous, 8192, hpf.AllPatterns(), fig4Methods)
+		},
 		"fig5-paper": func(o Options) (*Table, []Config) {
 			return legacyExpand(o, "fig5", "throughput vs number of CPs (contiguous, 8 KB records)",
 				"CPs", []int{1, 2, 4, 8, 16}, pfs.Contiguous, DiskDirected,
@@ -83,6 +141,11 @@ func TestPaperPresetsMatchLegacyExpansion(t *testing.T) {
 				"disks", []int{1, 2, 4, 8, 16, 32}, pfs.RandomBlocks, DiskDirectedSort,
 				func(c *Config, v int) { c.NIOP = 1; c.NDisks = v })
 		},
+	}
+	for _, s := range Presets() {
+		if _, ok := legacy[s.Name]; strings.HasSuffix(s.Name, "-paper") && !ok {
+			t.Errorf("paper preset %q has no legacy transcription", s.Name)
+		}
 	}
 	for _, o := range []Options{DefaultOptions(), tinyOptions()} {
 		for name, gen := range legacy {
@@ -118,6 +181,79 @@ func TestPaperPresetsMatchLegacyExpansion(t *testing.T) {
 	}
 }
 
+// TestFig4NoteMatchesCeiling pins Figure 4's fixed note to the hardware
+// ceiling of the cells its presets expand to, so neither can drift from
+// the other silently.
+func TestFig4NoteMatchesCeiling(t *testing.T) {
+	for _, name := range []string{"fig4a-paper", "fig4b-paper"} {
+		spec, _ := LookupPreset(name)
+		tab, cfgs, err := spec.Expand(DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range cfgs {
+			if want := fmt.Sprintf("peak aggregate disk throughput is %.1f MB/s", c.MaxBandwidthMBps()); tab.Note != want {
+				t.Fatalf("%s: note %q, want %q", name, tab.Note, want)
+			}
+		}
+	}
+}
+
+// TestLookupPresetAllocs: a lookup copies only the named spec, not the
+// whole registry — the daemon resolves a preset on every sweep request,
+// cache hits included.
+func TestLookupPresetAllocs(t *testing.T) {
+	for _, s := range presets {
+		if n := testing.AllocsPerRun(20, func() { LookupPreset(s.Name) }); n > 8 {
+			t.Errorf("LookupPreset(%q): %.0f allocs, want <= 8", s.Name, n)
+		}
+	}
+}
+
+// TestPresetCopiesIsolated: mutating a returned preset — its slices, its
+// fault plan, its workload — leaves the next lookup untouched.
+func TestPresetCopiesIsolated(t *testing.T) {
+	snapshot := func(name string) string {
+		s, ok := LookupPreset(name)
+		if !ok {
+			t.Fatalf("preset %q missing", name)
+		}
+		b, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	mutate := func(s *SweepSpec) {
+		for i := range s.Values {
+			s.Values[i]++
+		}
+		for i := range s.Values2 {
+			s.Values2[i]++
+		}
+		s.Methods[0] = "mutated"
+		s.Patterns[0] = "mutated"
+		if s.Faults != nil {
+			s.Faults.RetryLimit++
+		}
+		if s.Workload != nil {
+			s.Workload.Phases[0].Requests++
+			*s.Workload.Phases[0].ReadFraction = 0
+		}
+	}
+	for _, name := range []string{"fig3a-paper", "degrade-smoke", "wl-smoke", "surface-smoke"} {
+		want := snapshot(name)
+		s, _ := LookupPreset(name)
+		mutate(s)
+		for _, all := range Presets() {
+			mutate(all)
+		}
+		if got := snapshot(name); got != want {
+			t.Errorf("%s: mutating a copy changed the registry:\ngot  %s\nwant %s", name, got, want)
+		}
+	}
+}
+
 // TestPresetsValid checks every built-in preset validates and expands.
 func TestPresetsValid(t *testing.T) {
 	seen := map[string]bool{}
@@ -130,7 +266,8 @@ func TestPresetsValid(t *testing.T) {
 			t.Errorf("%s: %v", s.Name, err)
 		}
 	}
-	for _, name := range []string{"fig5-paper", "fig6-paper", "fig7-paper", "fig8-paper", "ext-smoke"} {
+	for _, name := range []string{"fig3a-paper", "fig3b-paper", "fig4a-paper", "fig4b-paper",
+		"fig5-paper", "fig6-paper", "fig7-paper", "fig8-paper", "ext-smoke"} {
 		if !seen[name] {
 			t.Errorf("required preset %q missing", name)
 		}
@@ -267,7 +404,23 @@ func TestParseSweepSpec(t *testing.T) {
 	if _, _, err := s.Expand(tinyOptions()); err != nil {
 		t.Fatal(err)
 	}
+	grid, err := ParseSweepSpec([]byte(`{"name":"grid","title":"t","axis":"pattern",
+		"layout":"contiguous","methods":["tc","ddio"],"patterns":["ra","wc"]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tab, cfgs, err := grid.Expand(tinyOptions()); err != nil || len(tab.Rows) != 2 || len(cfgs) != 4 {
+		t.Fatalf("pattern-axis spec: %v, %d configs", err, len(cfgs))
+	}
 	for name, bad := range map[string]string{
+		"pattern axis with values": `{"name":"x","axis":"pattern","values":[1],"layout":"contiguous",
+			"methods":["tc"],"patterns":["ra"]}`,
+		"pattern axis with axis2": `{"name":"x","axis":"pattern","axis2":"cps","values2":[1],"layout":"contiguous",
+			"methods":["tc"],"patterns":["ra"]}`,
+		"pattern axis with values2": `{"name":"x","axis":"pattern","values2":[1],"layout":"contiguous",
+			"methods":["tc"],"patterns":["ra"]}`,
+		"pattern as axis2": `{"name":"x","axis":"cps","values":[1],"axis2":"pattern","values2":[1],
+			"layout":"contiguous","methods":["tc"],"patterns":["ra"]}`,
 		"unknown field": `{"name":"x","axis":"cps","values":[1],"layout":"contiguous",
 			"methods":["tc"],"patterns":["ra"],"bogus":1}`,
 		"bad axis":    `{"name":"x","axis":"warp","values":[1],"layout":"contiguous","methods":["tc"],"patterns":["ra"]}`,

@@ -1,10 +1,12 @@
 package exp
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"ddio/internal/pfs"
+	"ddio/internal/stats"
 	"ddio/internal/trace"
 )
 
@@ -211,6 +213,32 @@ func TestLongCSV(t *testing.T) {
 	if !strings.HasPrefix(lines[1], "long-test,long-test,cps,1,ddio,ra,") ||
 		!strings.HasPrefix(lines[4], "long-test,long-test,cps,2,ddio,rb,") {
 		t.Fatalf("row order wrong:\n%s", got)
+	}
+}
+
+// TestLongCSVPatternAxis: on the pattern axis the value column holds
+// each row's pattern, cells run [pattern][method], and every row carries
+// the fixed machine's ceiling, though the table has no max-bw column.
+func TestLongCSVPatternAxis(t *testing.T) {
+	spec := tinyPatternSpec()
+	tab, cfgs, err := spec.Expand(tinyOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := &SweepResult{Spec: spec, Table: tab, CellStats: [][]stats.Summary{
+		{{N: 1, Mean: 1}, {N: 1, Mean: 2}},
+		{{N: 1, Mean: 3}, {N: 1, Mean: 4}},
+	}}
+	ceiling := fmt.Sprintf("%.3f", cfgs[0].MaxBandwidthMBps())
+	want := []string{
+		"sweep,figure,axis,value,method,pattern,n,mean_mbps,stddev,cv,min_mbps,max_mbps,max_bw_mbps",
+		"figT,figT,pattern,rb,tc,rb,1,1.000,0.0000,0.0000,0.000,0.000," + ceiling,
+		"figT,figT,pattern,rb,ddio,rb,1,2.000,0.0000,0.0000,0.000,0.000," + ceiling,
+		"figT,figT,pattern,rc,tc,rc,1,3.000,0.0000,0.0000,0.000,0.000," + ceiling,
+		"figT,figT,pattern,rc,ddio,rc,1,4.000,0.0000,0.0000,0.000,0.000," + ceiling,
+	}
+	if got := res.LongCSV(); got != strings.Join(want, "\n")+"\n" {
+		t.Fatalf("long CSV:\n%s\nwant:\n%s", got, strings.Join(want, "\n"))
 	}
 }
 

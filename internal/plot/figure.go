@@ -14,9 +14,14 @@ import (
 // swept axis along x, one line per method×pattern column, and the
 // hardware ceiling as a dashed reference line — the SVG counterpart of
 // the row-per-value tables Figures 5–8 print. Two-axis sweeps render as
-// response-surface heatmaps instead (SweepHeatmap).
+// response-surface heatmaps instead (SweepHeatmap), and pattern-axis
+// sweeps as the grouped bars of Figures 3–4 (TableBars), the same SVG
+// FigureSVG draws for their tables.
 func SweepFigure(res *exp.SweepResult) string {
-	if res.Spec.Axis2 != "" {
+	switch {
+	case res.Spec.Axis == exp.AxisPattern:
+		return TableBars(res.Table)
+	case res.Spec.Axis2 != "":
 		return SweepHeatmap(res)
 	}
 	return TableLines(res.Table, sweepSubtitle(res))

@@ -143,6 +143,26 @@ func TestTableBarsShape(t *testing.T) {
 	}
 }
 
+// TestSweepFigurePatternAxis: a pattern-axis sweep renders as the
+// grouped bars of Figures 3–4, byte-identical to FigureSVG of its table.
+func TestSweepFigurePatternAxis(t *testing.T) {
+	res := &exp.SweepResult{
+		Spec: &exp.SweepSpec{Name: "grid", ID: "figG", Title: "pattern grid (sample)",
+			Axis: exp.AxisPattern, Layout: "contiguous",
+			Methods: []string{"tc", "ddio"}, Patterns: []string{"ra", "rb", "rc"}},
+		Table: &exp.Table{ID: "figG", Title: "pattern grid (sample)", RowLabel: "pattern",
+			Rows: []string{"ra", "rb", "rc"}, Cols: []string{"TC", "DDIO"},
+			Cells: [][]exp.Cell{{{Mean: 20}, {Mean: 33}}, {{Mean: 9}, {Mean: 32}}, {{Mean: 2}, {Mean: 32}}}},
+	}
+	svg := SweepFigure(res)
+	if svg != FigureSVG(res.Table) {
+		t.Fatal("pattern-axis sweep figure differs from the table's FigureSVG")
+	}
+	if got := strings.Count(svg, "<title>"); got != 6 { // 3 groups × 2 series
+		t.Fatalf("bar tooltip count = %d, want 6", got)
+	}
+}
+
 // TestTimelineShape: every disk gets a labeled track and a utilization
 // label.
 func TestTimelineShape(t *testing.T) {

@@ -1,8 +1,8 @@
 package serve
 
 // golden_test.go pins the serving layer's headline promise with the real
-// simulator: POST /v1/sweeps for the degrade-smoke and fig5-paper
-// presets returns bytes identical to the cmd/figures artifacts for the
+// simulator: POST /v1/sweeps for the degrade-smoke, fig5-paper,
+// fig4b-paper and wl-smoke presets returns bytes identical to the cmd/figures artifacts for the
 // same spec and options — text table to its stdout, JSON/CSV/SVG to its
 // -json/-csv/-plot files — on the cold path AND on the cache-hit path.
 // The expected bytes are built here exactly the way cmd/figures builds
@@ -25,16 +25,22 @@ func TestServedSweepsMatchFiguresArtifacts(t *testing.T) {
 		name    string
 		body    string
 		degrade bool // has a faults template, so timesvg exists
+		shared  int  // cells an earlier preset already cached
 	}{
 		// degrade-smoke carries its own trials/filemb overrides; the
 		// request options mirror the figures CLI flag defaults.
-		{"degrade-smoke", `{"preset":"degrade-smoke"}`, true},
+		{"degrade-smoke", `{"preset":"degrade-smoke"}`, true, 0},
 		// fig5-paper at -trials 1 -filemb 1 keeps the paper figure's
 		// full grid while staying cheap.
-		{"fig5-paper", `{"preset":"fig5-paper","trials":1,"filemb":1}`, false},
+		{"fig5-paper", `{"preset":"fig5-paper","trials":1,"filemb":1}`, false, 0},
+		// fig4b-paper is a pattern-axis grid (Figure 4b): the daemon
+		// serves a paper pattern figure like any other sweep. Its ra,
+		// rn, rb and rc rows are fig5-paper's 16-CP row, so those 8
+		// cells are already cached.
+		{"fig4b-paper", `{"preset":"fig4b-paper","trials":1,"filemb":1}`, false, 8},
 		// wl-smoke drives the workload layer (skewed open-arrival
 		// streams, swept over the wlrate axis) through the live handler.
-		{"wl-smoke", `{"preset":"wl-smoke"}`, false},
+		{"wl-smoke", `{"preset":"wl-smoke"}`, false, 0},
 	}
 
 	s := New(Config{QueueDepth: 4, Concurrency: 1})
@@ -47,7 +53,7 @@ func TestServedSweepsMatchFiguresArtifacts(t *testing.T) {
 			// The options cmd/figures would build for
 			//   figures -sweep <name> [-trials 1 -filemb 1]
 			opts := exp.Options{Trials: 5, FileBytes: 10 * exp.MiB, Seed: 42, Verify: true}
-			if p.name == "fig5-paper" {
+			if strings.HasSuffix(p.name, "-paper") {
 				opts.Trials, opts.FileBytes = 1, exp.MiB
 			}
 			res, err := spec.RunFull(opts)
@@ -91,8 +97,8 @@ func TestServedSweepsMatchFiguresArtifacts(t *testing.T) {
 						format, rr.Body.Len(), len(wantBody))
 				}
 				hits, cells := rr.Header().Get("X-Cache-Hits"), rr.Header().Get("X-Cells")
-				if cold && hits != "0" {
-					t.Fatalf("first request reported %s cache hits", hits)
+				if want := fmt.Sprint(p.shared); cold && hits != want {
+					t.Fatalf("first request reported %s cache hits, want %s", hits, want)
 				}
 				if !cold && hits != cells {
 					t.Fatalf("warm request: %s hits of %s cells", hits, cells)
