@@ -14,30 +14,40 @@ func parOptions(workers int) Options {
 	return Options{Trials: 2, FileBytes: 512 * 1024, Seed: 9, Verify: true, Workers: workers}
 }
 
-// The determinism contract: a table generated on eight workers must be
-// bit-identical to the sequential one — seeds derive from (cell, trial)
-// position and results are slotted by index, so scheduling order cannot
-// leak into the cells. Checked on a scaled Figure 5 (a CP sweep) and a
-// scaled Figure 3 (a pattern-axis grid on the random-blocks layout).
-func TestSweepTableParallelBitIdentical(t *testing.T) {
-	cps := tinySweepSpec()
-	cps.Values = []int{1, 4}
-	patterns := tinyPatternSpec()
-	patterns.Layout = "random-blocks"
-	patterns.Patterns = []string{"ra", "rb", "rc"}
-	for _, spec := range []*SweepSpec{cps, patterns} {
-		seq, err := spec.Run(parOptions(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, err := spec.Run(parOptions(8))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(seq.Cells, par.Cells) {
-			t.Fatalf("%s axis: parallel cells differ from sequential:\nseq %+v\npar %+v", spec.Axis, seq.Cells, par.Cells)
-		}
+// assertParallelBitIdentical is the determinism contract: a table
+// generated on eight workers must be bit-identical to the sequential one
+// — seeds derive from (cell, trial) position and results are slotted by
+// index, so scheduling order cannot leak into the cells.
+func assertParallelBitIdentical(t *testing.T, spec *SweepSpec) {
+	t.Helper()
+	seq, err := spec.Run(parOptions(1))
+	if err != nil {
+		t.Fatal(err)
 	}
+	par, err := spec.Run(parOptions(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(seq.Cells, par.Cells) {
+		t.Fatalf("parallel cells differ from sequential:\nseq %+v\npar %+v", seq.Cells, par.Cells)
+	}
+}
+
+// The contract on a scaled Figure 3: a pattern-axis grid on the
+// random-blocks layout.
+func TestPatternTableParallelBitIdentical(t *testing.T) {
+	spec := tinyPatternSpec()
+	spec.Layout = "random-blocks"
+	spec.Patterns = []string{"ra", "rb", "rc"}
+	assertParallelBitIdentical(t, spec)
+}
+
+// The same contract for the machine-shape sweeps (a scaled Figure 5,
+// expressed as a sweep spec).
+func TestSweepTableParallelBitIdentical(t *testing.T) {
+	spec := tinySweepSpec()
+	spec.Values = []int{1, 4}
+	assertParallelBitIdentical(t, spec)
 }
 
 // Runner.Trials on a pool must aggregate exactly like sequential Trials.
