@@ -97,9 +97,6 @@ func (n *Network) SetFaults(f *fault.NetFaults) { n.faults = f }
 // machine terms rather than raw NIC indices).
 func (n *Network) SetNodeName(id int, name string) { n.nics[id].name = name }
 
-// Nodes returns the number of endpoints.
-func (n *Network) Nodes() int { return len(n.nics) }
-
 // Config returns the (possibly grown) configuration in use.
 func (n *Network) Config() Config { return n.cfg }
 

@@ -54,9 +54,6 @@ func TestGridGrowsForManyNodes(t *testing.T) {
 	e := sim.NewEngine()
 	defer e.Close()
 	n := New(e, DefaultConfig(), 50, sim.NewRand(1))
-	if n.Nodes() != 50 {
-		t.Fatalf("nodes %d", n.Nodes())
-	}
 	if n.Config().Width*n.Config().Height < 50 {
 		t.Fatalf("grid %dx%d too small", n.Config().Width, n.Config().Height)
 	}

@@ -1,19 +1,20 @@
 package sim
 
-// Completion tokens are the closure-free form of "call me back at time
-// t". A classic callback event boxes a closure per message — on
-// message-heavy runs that is the dominant allocation source, and a
-// closure's captured environment is pinned to one heap, which is what
-// will keep a future partitioned kernel from sharding the event queue.
-// A Completion instead names a long-lived target object plus a small
+// Completion tokens are the kernel's one event shape: "call me back at
+// time t" without a closure. A closure event would box one allocation
+// per message — on message-heavy runs the dominant allocation source —
+// and pin its captured environment to one heap, which is what would
+// keep a future partitioned kernel from sharding the event queue. A
+// Completion instead names a long-lived target object plus a small
 // (kind, arg) payload, all carried by value inside the event record, so
-// scheduling one allocates nothing.
+// scheduling one allocates nothing. Proc dispatch is the same shape:
+// its target is the proc itself (procToken).
 //
-// Lifecycle and staleness mirror proc dispatch tokens: a target that is
-// pooled (netsim's in-flight messages, cluster's operation records,
-// tcfs's request records) stamps its current generation into every
-// token it hands out and bumps the generation when the record is
-// released to its arena. A token that fires after its target was
+// Targets that are recycled — procs, and pooled records such as
+// netsim's in-flight messages, cluster's operation records and tcfs's
+// request records — stamp their current generation into every token
+// they hand out and bump the generation when the record is released to
+// its arena (or the proc dies). A token that fires after its target was
 // recycled mismatches and must be ignored — Complete implementations
 // check c.Gen first. Targets that are never recycled (e.g. WaitGroup)
 // ignore Gen entirely.
@@ -49,20 +50,6 @@ func (c Completion) Invoke(now Time) {
 	if c.Target != nil {
 		c.Target.Complete(c, now)
 	}
-}
-
-// AtCompletion schedules c to fire at absolute time t. Like At it
-// panics on scheduling into the past; unlike At it boxes no closure —
-// the token travels by value in the event record. A zero c is ignored.
-func (e *Engine) AtCompletion(t Time, c Completion) {
-	if e.closed || c.Target == nil {
-		return
-	}
-	if t < e.now {
-		panic("sim: completion scheduled in the past, by " + e.curName())
-	}
-	e.seq++
-	e.queue.push(event{t: t, seq: e.seq, tgt: c.Target, gen: c.Gen, kind: c.Kind, arg: c.Arg})
 }
 
 // CompletionFunc adapts a plain function to CompletionTarget for

@@ -6,16 +6,19 @@
 // function of its inputs and seeds. Entities that need to block — disk
 // servers, cache handler threads, compute-processor request pumps — are
 // Procs; cheap asynchronous activity (message delivery, DMA deposit) is
-// modeled with plain timed events.
+// modeled with completion tokens, timed events that call back a
+// long-lived target object (see completion.go). Waking a proc is itself
+// a completion token whose target is the proc.
 //
 // Time is absolute virtual time in nanoseconds (Time); durations use the
 // standard time.Duration. The engine is not safe for concurrent use from
 // multiple OS threads: all interaction happens either before Run, from
-// within event callbacks, or from within Procs.
+// within completion callbacks, or from within Procs.
 package sim
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -33,8 +36,9 @@ func (t Time) Seconds() float64 { return float64(t) / 1e9 }
 // time.Duration.
 func (t Time) Duration() time.Duration { return time.Duration(t) }
 
-// Add returns t shifted by d. Negative results are clamped to t itself,
-// since the engine cannot schedule into the past.
+// Add returns t shifted by d. It does not clamp: callers pass d >= 0,
+// as Sleep does after clamping a negative d to zero, because a time in
+// the past cannot be scheduled.
 func (t Time) Add(d time.Duration) Time {
 	u := t + Time(d)
 	if u < t && d > 0 { // overflow; callers never get here in practice
@@ -46,26 +50,16 @@ func (t Time) Add(d time.Duration) Time {
 // String formats t as a duration since time zero (e.g. "1.5ms").
 func (t Time) String() string { return time.Duration(t).String() }
 
-// event is a single scheduled callback, proc-dispatch token, or
-// completion token.
-//
-// A callback event carries fn. A proc dispatch token instead carries
-// (p, gen): when it fires, p is dispatched only if its generation still
-// matches, so a token left queued past its incarnation's death — the
-// proc may already be recycled into an unrelated incarnation — is
-// dropped harmlessly. A completion token carries (tgt, gen, kind, arg)
-// and fires tgt.Complete; pooled targets use gen the same way procs do
-// (see completion.go). Tokens need no closure, which is what lets
-// sleeps, wakes, spawns, and message completions run allocation-free.
+// event is one scheduled completion token. Every event has this shape:
+// waking a proc is a token whose target is the proc (procToken), and
+// message delivery, DMA deposit and the like are tokens whose targets
+// are pooled records (see completion.go). Tokens carry no closure, which
+// is what lets sleeps, wakes, spawns, and message completions run
+// allocation-free.
 type event struct {
-	t    Time
-	seq  int64 // FIFO tie-break for events at the same instant
-	fn   func()
-	p    *Proc            // non-nil: dispatch token for p...
-	gen  uint64           // ...valid while p.gen (or the target's gen) equals this
-	tgt  CompletionTarget // non-nil: completion token
-	kind uint8
-	arg  int64
+	t   Time
+	seq int64 // FIFO tie-break for events at the same instant
+	c   Completion
 }
 
 // Engine is a discrete-event simulator instance.
@@ -84,10 +78,10 @@ type Engine struct {
 	now     Time
 	queue   eventQueue
 	seq     int64
-	xfer    *Proc           // proc to hand the token to after the current event
-	cur     *Proc           // proc currently executing (nil in event context)
-	cond    func(Time) bool // run-limit predicate for the current Run/RunUntil
-	procs   map[*Proc]struct{}
+	xfer    *Proc   // proc to hand the token to after the current event
+	cur     *Proc   // proc currently executing (nil in event context)
+	until   Time    // run limit of the current Run/RunUntil
+	all     []*Proc // every Proc object created, live or dead, in creation order
 	free    []*Proc // dead procs (their carriers suspended) awaiting reuse
 	running bool
 	closed  bool
@@ -97,9 +91,7 @@ type Engine struct {
 
 // NewEngine returns a new engine with the clock at zero and no pending
 // events.
-func NewEngine() *Engine {
-	return &Engine{procs: make(map[*Proc]struct{})}
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
@@ -119,73 +111,62 @@ func (e *Engine) Recorder() *trace.Recorder { return e.rec }
 // Events returns the number of events fired so far (diagnostic).
 func (e *Engine) Events() int64 { return e.events }
 
-// At schedules fn to run at absolute time t. Scheduling in the past
-// (t < Now) is an error and panics: it would silently corrupt causality.
-func (e *Engine) At(t Time, fn func()) {
-	if e.closed {
+// AtCompletion schedules c to fire at absolute time t. The token travels
+// by value in the event record, so scheduling allocates nothing. A zero
+// c is ignored. Scheduling in the past (t < Now) panics: it would
+// silently corrupt causality.
+func (e *Engine) AtCompletion(t Time, c Completion) {
+	if e.closed || c.Target == nil {
 		return
 	}
 	if t < e.now {
-		panic(fmt.Sprintf("sim: event scheduled in the past (now=%v, t=%v, by %s)", e.now, t, e.curName()))
+		e.pastPanic(t, c)
 	}
 	e.seq++
-	e.queue.push(event{t: t, seq: e.seq, fn: fn})
+	e.queue.push(event{t: t, seq: e.seq, c: c})
 }
 
-// curName describes who is executing right now, for panic diagnostics:
-// the running proc's name, or "event context" between procs.
-func (e *Engine) curName() string {
+// pastPanic reports a token scheduled before now: both times, the
+// target (the proc's name for a dispatch token), and who scheduled it.
+func (e *Engine) pastPanic(t Time, c Completion) {
+	target := fmt.Sprintf("target=%T", c.Target)
+	if pt, ok := c.Target.(*procToken); ok {
+		target = "proc=" + pt.name
+	}
+	by := "event context"
 	if e.cur != nil {
-		return "proc " + e.cur.name
+		by = "proc " + e.cur.name
 	}
-	return "event context"
-}
-
-// After schedules fn to run d from now. Negative d is treated as zero.
-func (e *Engine) After(d time.Duration, fn func()) {
-	if d < 0 {
-		d = 0
-	}
-	e.At(e.now.Add(d), fn)
+	panic(fmt.Sprintf("sim: event scheduled in the past (now=%v, t=%v, %s, by %s)", e.now, t, target, by))
 }
 
 // atProc schedules a dispatch token for p at absolute time t, tagged with
-// p's current generation. Allocation-free: the token is three words in
-// the event queue, no closure.
+// p's current generation.
 func (e *Engine) atProc(t Time, p *Proc) {
-	if e.closed {
-		return
-	}
-	if t < e.now {
-		panic(fmt.Sprintf("sim: event scheduled in the past (now=%v, t=%v, proc=%s, by %s)", e.now, t, p.name, e.curName()))
-	}
-	e.seq++
-	e.queue.push(event{t: t, seq: e.seq, p: p, gen: p.gen})
+	e.AtCompletion(t, Completion{Target: (*procToken)(p), Gen: p.gen})
 }
 
 // Run executes events in timestamp order until no events remain. Procs
 // that are still blocked when the queue drains stay blocked (see
 // BlockedProcs and Close). Run may be called again after it returns if
 // new events have been scheduled.
-func (e *Engine) Run() {
-	e.runWhile(func(Time) bool { return true })
-}
+func (e *Engine) Run() { e.run(math.MaxInt64) }
 
 // RunUntil executes events with timestamps <= t, then stops, leaving the
 // clock at min(t, time of last event). Events after t remain queued.
 func (e *Engine) RunUntil(t Time) {
-	e.runWhile(func(et Time) bool { return et <= t })
+	e.run(t)
 	if e.now < t && len(e.queue) == 0 {
 		e.now = t
 	}
 }
 
-func (e *Engine) runWhile(cond func(Time) bool) {
+func (e *Engine) run(until Time) {
 	if e.running {
 		panic("sim: Run called re-entrantly")
 	}
 	e.running = true
-	e.cond = cond
+	e.until = until
 	// The hub: fire events until one dispatches a proc, then resume that
 	// proc's carrier. It yields back the next proc to run — one it
 	// dispatched while firing events in place — or nil once the queue
@@ -193,42 +174,25 @@ func (e *Engine) runWhile(cond func(Time) bool) {
 	// this caller through next.
 	for p := e.loop(); p != nil; p, _ = p.c.next() {
 	}
-	e.cond = nil
 	e.running = false
 }
 
-// loop fires events until the queue drains, the run condition fails, or
-// an event dispatches a proc, and returns that proc (nil if none). The
-// hub and parked or retired procs all run it; a proc that gets itself
-// back continues in place with no switch at all, which makes a plain
-// sleep-and-wake — the single most common blocking pattern — free of
-// context switches when no other work intervenes.
+// loop fires events until the queue drains, the next event lies past the
+// run limit, or an event dispatches a proc, and returns that proc (nil if
+// none). The hub and parked or retired procs all run it; a proc that gets
+// itself back continues in place with no switch at all, which makes a
+// plain sleep-and-wake — the single most common blocking pattern — free
+// of context switches when no other work intervenes.
+//
+// Staleness is the target's concern: a token left queued past its
+// target's incarnation (a recycled proc or pooled record) mismatches the
+// target's generation inside Complete and fires as a harmless no-op.
 func (e *Engine) loop() *Proc {
-	for len(e.queue) > 0 {
+	for len(e.queue) > 0 && e.queue[0].t <= e.until {
 		ev := e.queue.pop()
-		if !e.cond(ev.t) {
-			e.queue.push(ev) // same seq: original FIFO position is kept
-			return nil
-		}
 		e.now = ev.t
 		e.events++
-		if ev.p != nil {
-			// Dispatch token: valid only while the generation matches. A
-			// mismatch means the target incarnation died (and the proc
-			// was possibly recycled) after this token was queued — the
-			// stale wake-up fires as a harmless no-op event.
-			if ev.gen == ev.p.gen {
-				e.dispatch(ev.p)
-			}
-		} else if ev.tgt != nil {
-			// Completion token. Staleness is the target's concern: a
-			// pooled target checks ev.gen against its current
-			// incarnation inside Complete (the engine cannot, since
-			// target generations live in the target).
-			ev.tgt.Complete(Completion{Target: ev.tgt, Gen: ev.gen, Kind: ev.kind, Arg: ev.arg}, ev.t)
-		} else {
-			ev.fn()
-		}
+		ev.c.Target.Complete(ev.c, ev.t)
 		if p := e.xfer; p != nil {
 			e.xfer = nil
 			e.cur = p
@@ -263,8 +227,10 @@ func (e *Engine) wake(p *Proc) {
 // daemon process awaiting shutdown.
 func (e *Engine) BlockedProcs() []string {
 	var out []string
-	for p := range e.procs {
-		out = append(out, p.name+" ["+p.parkState()+"]")
+	for _, p := range e.all {
+		if !p.dead {
+			out = append(out, p.name+" ["+p.parkState()+"]")
+		}
 	}
 	sort.Strings(out)
 	return out
@@ -276,33 +242,28 @@ func (e *Engine) BlockedProcs() []string {
 // transient proc.
 func (e *Engine) NumBlocked() int {
 	n := 0
-	for p := range e.procs {
-		if !p.daemon {
+	for _, p := range e.all {
+		if !p.dead && !p.daemon {
 			n++
 		}
 	}
 	return n
 }
 
-// Close terminates all blocked procs (and the suspended carriers of
-// recycled procs on the free list) and discards pending events. It is
-// safe to call multiple times. After Close the engine rejects new events
-// and new procs. Close must not be called from inside the simulation.
+// Close terminates all blocked procs and the suspended carriers of dead
+// ones, in creation order, and discards pending events. It is safe to
+// call multiple times. After Close the engine rejects new events and new
+// procs. Close must not be called from inside the simulation.
 func (e *Engine) Close() {
 	if e.closed {
 		return
 	}
 	e.closed = true
 	e.queue = nil
-	for p := range e.procs {
-		delete(e.procs, p)
+	for _, p := range e.all {
 		e.kill(p)
 	}
-	for i, p := range e.free {
-		e.free[i] = nil
-		e.kill(p)
-	}
-	e.free = nil
+	e.all, e.free = nil, nil
 }
 
 // kill unwinds one proc's body on its carrier and returns the carrier to

@@ -1,9 +1,17 @@
 package sim
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 )
+
+// callAt schedules fn at absolute time t through the Callback adapter: the
+// tests' stand-in for a one-off timed callback.
+func callAt(e *Engine, t Time, fn func()) {
+	e.AtCompletion(t, Callback(func(Time) { fn() }))
+}
 
 func TestEngineStartsAtZero(t *testing.T) {
 	e := NewEngine()
@@ -18,9 +26,9 @@ func TestEngineStartsAtZero(t *testing.T) {
 func TestEventsFireInTimeOrder(t *testing.T) {
 	e := NewEngine()
 	var got []int
-	e.At(30, func() { got = append(got, 3) })
-	e.At(10, func() { got = append(got, 1) })
-	e.At(20, func() { got = append(got, 2) })
+	callAt(e, 30, func() { got = append(got, 3) })
+	callAt(e, 10, func() { got = append(got, 1) })
+	callAt(e, 20, func() { got = append(got, 2) })
 	e.Run()
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("events fired as %v, want [1 2 3]", got)
@@ -35,7 +43,7 @@ func TestSimultaneousEventsFIFO(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.At(5, func() { got = append(got, i) })
+		callAt(e, 5, func() { got = append(got, i) })
 	}
 	e.Run()
 	for i, v := range got {
@@ -45,26 +53,32 @@ func TestSimultaneousEventsFIFO(t *testing.T) {
 	}
 }
 
-func TestAfterSchedulesRelative(t *testing.T) {
+func TestCallbackSchedulesRelativeToNow(t *testing.T) {
 	e := NewEngine()
-	var at Time
-	e.After(time.Millisecond, func() {
-		at = e.Now()
-		e.After(time.Millisecond, func() { at = e.Now() })
+	var fired Time
+	callAt(e, Time(time.Millisecond), func() {
+		callAt(e, e.Now().Add(time.Millisecond), func() { fired = e.Now() })
 	})
 	e.Run()
-	if at != Time(2*time.Millisecond) {
-		t.Fatalf("nested After fired at %v, want 2ms", at)
+	if fired != Time(2*time.Millisecond) {
+		t.Fatalf("nested callback fired at %v, want 2ms", fired)
 	}
 }
 
-func TestNegativeAfterClampsToNow(t *testing.T) {
+// TestNegativeSleepClampsToNow: Sleep clamps a negative duration to
+// zero, so the proc yields for the current instant and other events
+// queued for it run first.
+func TestNegativeSleepClampsToNow(t *testing.T) {
 	e := NewEngine()
-	fired := false
-	e.After(-time.Second, func() { fired = true })
+	var order []string
+	e.Go("p", func(p *Proc) {
+		callAt(e, 0, func() { order = append(order, "event") })
+		p.Sleep(-time.Second)
+		order = append(order, "proc")
+	})
 	e.Run()
-	if !fired || e.Now() != 0 {
-		t.Fatalf("negative After: fired=%v now=%v", fired, e.Now())
+	if len(order) != 2 || order[0] != "event" || e.Now() != 0 {
+		t.Fatalf("negative Sleep: order %v, now %v", order, e.Now())
 	}
 }
 
@@ -75,7 +89,7 @@ func TestPastEventPanics(t *testing.T) {
 			t.Fatal("scheduling in the past did not panic")
 		}
 	}()
-	e.At(10, func() { e.At(5, func() {}) })
+	callAt(e, 10, func() { callAt(e, 5, func() {}) })
 	e.Run()
 }
 
@@ -84,7 +98,7 @@ func TestRunUntilStopsEarly(t *testing.T) {
 	var fired []Time
 	for _, tt := range []Time{10, 20, 30, 40} {
 		tt := tt
-		e.At(tt, func() { fired = append(fired, tt) })
+		callAt(e, tt, func() { fired = append(fired, tt) })
 	}
 	e.RunUntil(25)
 	if len(fired) != 2 {
@@ -110,7 +124,7 @@ func TestRunUntilAdvancesClockWhenIdle(t *testing.T) {
 func TestEventCountsAccumulate(t *testing.T) {
 	e := NewEngine()
 	for i := 0; i < 7; i++ {
-		e.At(Time(i), func() {})
+		callAt(e, Time(i), func() {})
 	}
 	e.Run()
 	if e.Events() != 7 {
@@ -120,7 +134,7 @@ func TestEventCountsAccumulate(t *testing.T) {
 
 func TestCloseDiscardsPendingAndKillsProcs(t *testing.T) {
 	e := NewEngine()
-	e.At(100, func() { t.Fatal("event fired after Close") })
+	callAt(e, 100, func() { t.Fatal("event fired after Close") })
 	ran := false
 	cleaned := false
 	e.Go("sleeper", func(p *Proc) {
@@ -150,6 +164,39 @@ func TestCloseDiscardsPendingAndKillsProcs(t *testing.T) {
 	e.Close() // idempotent
 }
 
+// TestCloseUnwindsInCreationOrder: Close kills procs in the order the
+// engine created them, so the deferred cleanups of a shut-down machine
+// run in the same order on every engine.
+func TestCloseUnwindsInCreationOrder(t *testing.T) {
+	unwind := func() []string {
+		e := NewEngine()
+		never := NewCond(e, "never")
+		var order []string
+		for i := 0; i < 20; i++ {
+			name := fmt.Sprintf("p%02d", i)
+			e.Go(name, func(p *Proc) {
+				defer func() { order = append(order, name) }()
+				never.Wait(p)
+			})
+		}
+		e.Run()
+		e.Close()
+		return order
+	}
+	first := unwind()
+	if len(first) != 20 {
+		t.Fatalf("Close unwound %d procs, want 20", len(first))
+	}
+	for i, name := range first {
+		if want := fmt.Sprintf("p%02d", i); name != want {
+			t.Fatalf("Close unwound %v, want creation order", first)
+		}
+	}
+	if second := unwind(); !slices.Equal(first, second) {
+		t.Fatalf("second engine unwound %v, first %v", second, first)
+	}
+}
+
 func TestBlockedProcsReportNamesAndStates(t *testing.T) {
 	e := NewEngine()
 	gate := NewCond(e, "gate")
@@ -173,7 +220,7 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 		rng := NewRand(7)
 		pipe := NewPipe(e, "p", 1e6, 0)
 		for i := 0; i < 50; i++ {
-			e.At(Time(rng.Int63n(1000)), func() {
+			callAt(e, Time(rng.Int63n(1000)), func() {
 				_, end := pipe.Reserve(100)
 				out = append(out, end)
 			})

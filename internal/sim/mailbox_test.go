@@ -34,7 +34,7 @@ func TestMailboxGetBlocksUntilPut(t *testing.T) {
 			t.Errorf("got %q", v)
 		}
 	})
-	e.After(5*time.Millisecond, func() { mb.Put("hello") })
+	callAt(e, Time(5*time.Millisecond), func() { mb.Put("hello") })
 	e.Run()
 	if at != Time(5*time.Millisecond) {
 		t.Fatalf("received at %v, want 5ms", at)
@@ -53,7 +53,7 @@ func TestMailboxMultipleWaitersFIFO(t *testing.T) {
 			_ = v
 		})
 	}
-	e.After(time.Millisecond, func() { mb.Put(1); mb.Put(2) })
+	callAt(e, Time(time.Millisecond), func() { mb.Put(1); mb.Put(2) })
 	e.Run()
 	if len(got) != 2 || got[0] != "a" {
 		t.Fatalf("waiter order %v, want a first", got)

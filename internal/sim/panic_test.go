@@ -28,7 +28,7 @@ func TestPastEventPanicNamesProc(t *testing.T) {
 	var msg string
 	e.Go("worker", func(p *Proc) {
 		p.Sleep(100)
-		msg = recoverPanic(func() { e.At(e.Now()-1, func() {}) })
+		msg = recoverPanic(func() { callAt(e, e.Now()-1, func() {}) })
 	})
 	e.Run()
 	if !strings.Contains(msg, "proc worker") || !strings.Contains(msg, "in the past") {
@@ -40,8 +40,8 @@ func TestPastEventPanicNamesEventContext(t *testing.T) {
 	e := NewEngine()
 	defer e.Close()
 	var msg string
-	e.At(100, func() {
-		msg = recoverPanic(func() { e.At(50, func() {}) })
+	callAt(e, 100, func() {
+		msg = recoverPanic(func() { callAt(e, 50, func() {}) })
 	})
 	e.Run()
 	if !strings.Contains(msg, "event context") || !strings.Contains(msg, "in the past") {
@@ -54,11 +54,30 @@ func TestPastDispatchTokenPanicNamesTarget(t *testing.T) {
 	defer e.Close()
 	c := NewCond(e, "hold")
 	p := e.GoDaemon("sleeper", func(p *Proc) { c.Wait(p) })
-	e.At(100, func() {})
+	callAt(e, 100, func() {})
 	e.Run()
 	msg := recoverPanic(func() { e.atProc(50, p) })
 	if !strings.Contains(msg, "proc=sleeper") || !strings.Contains(msg, "in the past") {
 		t.Fatalf("past token panic %q does not name the target proc", msg)
+	}
+}
+
+// TestPastCompletionPanicReportsTimes: a completion token scheduled in
+// the past goes through the same diagnostic as a dispatch token — both
+// times, the target, and the scheduling context.
+func TestPastCompletionPanicReportsTimes(t *testing.T) {
+	e := NewEngine()
+	defer e.Close()
+	r := &recordTarget{}
+	var msg string
+	callAt(e, 100, func() {
+		msg = recoverPanic(func() { e.AtCompletion(40, Completion{Target: r}) })
+	})
+	e.Run()
+	for _, want := range []string{"in the past", "now=100ns", "t=40ns", "target=*sim.recordTarget", "by event context"} {
+		if !strings.Contains(msg, want) {
+			t.Fatalf("past completion panic %q lacks %q", msg, want)
+		}
 	}
 }
 
@@ -70,7 +89,7 @@ func TestDoubleDispatchPanicNamesBothProcs(t *testing.T) {
 	p2 := e.GoDaemon("beta", func(p *Proc) { c.Wait(p) })
 	e.Run() // park both procs on the cond
 	var msg string
-	e.At(e.Now(), func() {
+	callAt(e, e.Now(), func() {
 		msg = recoverPanic(func() {
 			e.dispatch(p1)
 			e.dispatch(p2)

@@ -48,7 +48,7 @@ func TestPipeIdleGapThenReserve(t *testing.T) {
 	e := NewEngine()
 	pp := NewPipe(e, "p", 1e9, 0)
 	pp.Reserve(10)
-	e.At(100, func() {
+	callAt(e, 100, func() {
 		s, _ := pp.Reserve(10)
 		if s != 100 {
 			t.Errorf("reservation after idle gap starts at %v, want 100", s)
@@ -73,7 +73,7 @@ func TestPipeBusyAndUtilization(t *testing.T) {
 	e := NewEngine()
 	pp := NewPipe(e, "p", 1e9, 0)
 	pp.Reserve(100)
-	e.At(400, func() {})
+	callAt(e, 400, func() {})
 	e.Run()
 	if pp.Busy() != 100*time.Nanosecond {
 		t.Fatalf("Busy %v", pp.Busy())

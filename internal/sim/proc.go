@@ -9,16 +9,18 @@ import (
 
 // A Proc is a simulated process: a body function the engine runs on a
 // coroutine (its carrier), scheduled cooperatively so that exactly one
-// proc (or event callback) runs at a time. Procs block by parking
+// proc (or completion callback) runs at a time. Procs block by parking
 // themselves on synchronization objects or by sleeping; control returns
 // to the event loop, which advances virtual time.
 //
 // Proc objects are recycled: when a body function returns, the proc dies
 // and goes onto the engine's free list, and the next Engine.Go re-arms it
 // (same carrier) with a fresh body. Each death bumps the proc's
-// generation; dispatch tokens queued for an earlier incarnation mismatch
-// and fire as harmless no-ops (see Engine.loop), so a wake-up left behind
-// by a dead-and-recycled proc can never resume the wrong incarnation.
+// generation. A wake-up is a completion token whose target is the proc
+// (procToken) and which carries the generation it was scheduled for; a
+// token queued for an earlier incarnation mismatches and fires as a
+// harmless no-op, so a wake-up left behind by a dead-and-recycled proc
+// can never resume the wrong incarnation.
 type Proc struct {
 	eng      *Engine
 	c        *carrier // coroutine running this proc's incarnations
@@ -31,6 +33,20 @@ type Proc struct {
 	killed   bool
 	dead     bool // no live incarnation (idle on the free list)
 	daemon   bool // excluded from NumBlocked (dispatchers, disk servers...)
+}
+
+// procToken is a Proc seen as a completion target: the engine's
+// dispatch token. It is unexported so that only the kernel can dispatch
+// a proc; Proc itself has no Complete method.
+type procToken Proc
+
+// Complete dispatches the proc if the token belongs to its current
+// incarnation.
+func (t *procToken) Complete(c Completion, _ Time) {
+	p := (*Proc)(t)
+	if c.Gen == p.gen {
+		p.eng.dispatch(p)
+	}
 }
 
 // procKilled is panicked inside a proc's body when the engine shuts
@@ -129,11 +145,11 @@ func (e *Engine) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
 	} else {
 		p = &Proc{eng: e, c: getCarrier()}
 		p.c.p = p
+		e.all = append(e.all, p)
 	}
 	p.name = name
 	p.fn = fn
 	p.daemon = daemon
-	e.procs[p] = struct{}{}
 	e.atProc(e.now, p) // start token: dispatches p when it fires
 	return p
 }
@@ -166,17 +182,15 @@ func (p *Proc) serve() {
 	}
 }
 
-// retire ends the current incarnation: the proc leaves the live set and
-// joins the engine's free list. Bumping the generation invalidates any
+// retire ends the current incarnation: the proc dies and joins the
+// engine's free list. Bumping the generation invalidates any
 // dispatch tokens still queued for the incarnation that just ended.
 func (p *Proc) retire() {
 	p.gen++
 	p.dead = true
 	p.state = ""
 	p.asleep = false
-	e := p.eng
-	delete(e.procs, p)
-	e.free = append(e.free, p)
+	p.eng.free = append(p.eng.free, p)
 }
 
 // park blocks the calling proc until another party wakes it via

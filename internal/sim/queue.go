@@ -42,7 +42,7 @@ func (q *eventQueue) pop() event {
 	top := h[0]
 	n := len(h) - 1
 	h[0] = h[n]
-	h[n] = event{} // release the closure and targets for GC
+	h[n] = event{} // release the target for GC
 	h = h[:n]
 	*q = h
 	i := 0

@@ -77,13 +77,13 @@ func TestQueueSameInstantFIFO(t *testing.T) {
 
 // TestQueueShrinkAfterDrain grows the heap with a large burst and drains
 // it: order stays exact, and every vacated slot of the retained backing
-// array is zeroed, so a drained queue pins no closures or targets.
+// array is zeroed, so a drained queue pins no targets.
 func TestQueueShrinkAfterDrain(t *testing.T) {
 	var q eventQueue
 	rng := rand.New(rand.NewSource(9))
-	fn := func() {}
+	c := Callback(func(Time) {})
 	for i := 1; i <= 3000; i++ {
-		q.push(event{t: Time(rng.Int63n(1 << 30)), seq: int64(i), fn: fn})
+		q.push(event{t: Time(rng.Int63n(1 << 30)), seq: int64(i), c: c})
 	}
 	prev := q.pop()
 	for len(q) > 0 {
@@ -94,8 +94,8 @@ func TestQueueShrinkAfterDrain(t *testing.T) {
 		prev = ev
 	}
 	for i, ev := range q[:cap(q)] {
-		if ev.fn != nil {
-			t.Fatalf("vacated slot %d still holds a closure", i)
+		if ev.c.Target != nil {
+			t.Fatalf("vacated slot %d still holds a target", i)
 		}
 	}
 }

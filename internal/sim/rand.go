@@ -19,9 +19,6 @@ func NewRand(seed int64) *Rand {
 	return &Rand{Rand: rand.New(rand.NewSource(seed)), seed: seed}
 }
 
-// Seed returns the seed the source was created with.
-func (r *Rand) Seed() int64 { return r.seed }
-
 // Stream derives an independent sub-stream identified by label. The
 // derivation hashes (seed, label), so streams are stable across runs and
 // insensitive to the order in which other streams are used.
@@ -35,6 +32,3 @@ func (r *Rand) Stream(label string) *Rand {
 	h.Write([]byte(label))
 	return NewRand(int64(h.Sum64()))
 }
-
-// Perm returns a deterministic pseudo-random permutation of [0,n).
-func (r *Rand) Perm(n int) []int { return r.Rand.Perm(n) }

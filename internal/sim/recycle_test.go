@@ -92,11 +92,11 @@ func TestRecycleChainSameCarrier(t *testing.T) {
 	defer e.Close()
 	count := 0
 	var body func(p *Proc)
-	respawn := func() { e.Go("chain", body) }
+	respawn := Callback(func(Time) { e.Go("chain", body) })
 	body = func(p *Proc) {
 		count++
 		if count < 500 {
-			e.At(p.Now(), respawn)
+			e.AtCompletion(p.Now(), respawn)
 		}
 	}
 	e.Go("chain", body)
@@ -213,7 +213,7 @@ func TestProcSpawnAllocFree(t *testing.T) {
 	e := NewEngine()
 	defer e.Close()
 	fn := func(p *Proc) {}
-	for i := 0; i < 8; i++ { // warm the free list, queue, and procs map
+	for i := 0; i < 8; i++ { // warm the free list, queue, and proc list
 		e.Go("w", fn)
 		e.Run()
 	}
@@ -250,8 +250,8 @@ func pooledCarriers() int {
 // TestCarrierReuseAcrossEngines: procs of a new engine borrow the
 // carriers earlier engines released at Close, so once the pool is warm
 // an engine's cycle allocates only the k Proc structs plus about 20
-// objects for the engine, its map, queue and free list, the cond and
-// the test's closures (28 at k = 8) — no coroutine. A cycle that missed
+// objects for the engine, its proc list, queue and free list, the cond
+// and the test's closures (30 at k = 8) — no coroutine. A cycle that missed
 // the pool would add about 11 allocations per proc.
 func TestCarrierReuseAcrossEngines(t *testing.T) {
 	const k, limit = 8, 32
@@ -265,7 +265,7 @@ func TestCarrierReuseAcrossEngines(t *testing.T) {
 		for i := 0; i < k; i++ {
 			e.Go("w", body)
 		}
-		e.At(Time(2*time.Microsecond), gate.Broadcast)
+		e.AtCompletion(Time(2*time.Microsecond), Callback(func(Time) { gate.Broadcast() }))
 		e.Run()
 		e.Close()
 	}

@@ -25,7 +25,7 @@ func TestWaitGroupReset(t *testing.T) {
 		wg.Wait(p)
 		woke = true
 	})
-	e.After(0, wg.Done)
+	e.AtCompletion(0, wg.DoneC())
 	e.Run()
 	if !woke {
 		t.Fatal("waiter never woke after Reset reuse")
