@@ -180,10 +180,12 @@ func (it *blockIter) take() (int, bool) {
 }
 
 // readLoop: disk → buffer → Memputs to the destination CPs. The thread
-// owns its block buffer for life: one of the paper's buffers per disk.
+// owns its block buffer for life: one of the paper's buffers per disk,
+// a slab it hands back when it returns.
 func (s *Server) readLoop(w *sim.Proc, dd *disk.Disk, it *blockIter, dec hpf.Access, delivered *sim.WaitGroup) {
 	bs := int64(s.f.BlockSize)
-	buf := make([]byte, bs)
+	buf := sim.GetSlab(int(bs))
+	defer sim.PutSlab(buf)
 	for {
 		b, ok := it.take()
 		if !ok {
@@ -217,11 +219,15 @@ func (s *Server) readLoop(w *sim.Proc, dd *disk.Disk, it *blockIter, dec hpf.Acc
 
 // writeLoop: Memgets from the source CPs → buffer → disk. Like readLoop
 // the thread owns its block buffer; a second one, for the old contents
-// of partly covered blocks, is allocated on the first such block.
+// of partly covered blocks, is taken on the first such block.
 func (s *Server) writeLoop(w *sim.Proc, dd *disk.Disk, it *blockIter, dec hpf.Access, delivered *sim.WaitGroup) {
 	bs := int64(s.f.BlockSize)
-	buf := make([]byte, bs)
+	buf := sim.GetSlab(int(bs))
 	var old []byte
+	defer func() {
+		sim.PutSlab(buf)
+		sim.PutSlab(old)
+	}()
 	for {
 		b, ok := it.take()
 		if !ok {
@@ -252,7 +258,7 @@ func (s *Server) writeLoop(w *sim.Proc, dd *disk.Disk, it *blockIter, dec hpf.Ac
 			// fetched runs onto the block's current contents.
 			s.m2.PartialBlockRMW++
 			if old == nil {
-				old = make([]byte, bs)
+				old = sim.GetSlab(int(bs))
 			}
 			if s.retry.Do(w, dd, false, s.f.LBN(b), old) == nil {
 				blockOff := int64(b) * bs

@@ -1,12 +1,16 @@
 package disk
 
+import "ddio/internal/sim"
+
 // Byte storage behind the mechanical model, kept so experiments can
 // verify end-to-end data integrity. The caller owns every buffer: reads
 // fill the caller's destination, writes copy the caller's bytes in.
 //
-// The store is a sparse map of fixed-size pages, each allocated zeroed
-// on the first write that touches it and written in place afterwards,
-// so unwritten sectors read as zeros and a rewrite allocates nothing.
+// The store is a sparse map of fixed-size pages, each taken zeroed from
+// the simulator's slab list (sim.GetSlab) on the first write that
+// touches it and written in place afterwards, so unwritten sectors read
+// as zeros and a rewrite allocates nothing. The disk owns its pages
+// until ReleaseData hands them back to the list.
 
 // pageSectors is the number of sectors per storage page: one default
 // 8 KiB file block of 512-byte sectors, so a block-aligned block write
@@ -21,7 +25,7 @@ func (d *Disk) WriteData(lbn int64, data []byte) {
 	for len(data) > 0 {
 		page := d.pages[off/ps]
 		if page == nil {
-			page = make([]byte, ps)
+			page = sim.GetSlab(int(ps))
 			d.pages[off/ps] = page
 		}
 		n := copy(page[off%ps:], data)
@@ -44,6 +48,16 @@ func (d *Disk) ReadData(lbn int64, dst []byte) {
 		dst = dst[n:]
 		off += n
 	}
+}
+
+// ReleaseData returns every stored page to the slab list and forgets
+// the disk's contents: afterwards every sector reads as zeros. Call it
+// once the run's bytes are no longer needed (after verification).
+func (d *Disk) ReleaseData() {
+	for _, page := range d.pages {
+		sim.PutSlab(page)
+	}
+	clear(d.pages)
 }
 
 // byteSpan returns the byte offset of sector lbn and the page size,

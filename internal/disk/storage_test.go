@@ -109,3 +109,34 @@ func TestWarmRewriteAllocatesNothing(t *testing.T) {
 		t.Fatal("warm rewrite read back wrong")
 	}
 }
+
+// TestReleaseDataHandsPagesOnZeroed: ReleaseData forgets the disk's
+// bytes and hands its pages to the slab list; a page another disk then
+// takes is the released one, with its sectors cleared, so a partial
+// write there reads zeros, not the first disk's bytes, around it.
+func TestReleaseDataHandsPagesOnZeroed(t *testing.T) {
+	e, d := newTestDisk(t, HP97560())
+	const n = 16 * 512
+	d.WriteData(0, fill(n, 0x77))
+	old := &d.pages[0][0]
+	d.ReleaseData()
+	if len(d.pages) != 0 {
+		t.Fatalf("%d pages kept after ReleaseData", len(d.pages))
+	}
+	got := fill(n, 0xFF)
+	d.ReadData(0, got)
+	if !bytes.Equal(got, make([]byte, n)) {
+		t.Fatal("released disk still reads its old bytes")
+	}
+
+	d2 := New(e, "t1", HP97560(), nil, nil)
+	d2.WriteData(4, fill(4*512, 0x5A))
+	if &d2.pages[0][0] != old {
+		t.Fatal("the released page was not reused")
+	}
+	d2.ReadData(0, got)
+	want := append(append(make([]byte, 4*512), fill(4*512, 0x5A)...), make([]byte, 8*512)...)
+	if !bytes.Equal(got, want) {
+		t.Fatal("a reused page leaked the previous disk's bytes")
+	}
+}

@@ -108,6 +108,7 @@ type machine struct {
 	buses []*sim.Pipe // one SCSI bus per IOP
 	disks []*disk.Disk
 	f     *pfs.File
+	tc    []*tcfs.Server // the method's traditional-caching servers, if any
 }
 
 // buildMachine assembles the simulated machine from cfg. It may arm
@@ -146,8 +147,23 @@ func buildMachine(cfg *Config) (*machine, error) {
 	return mc, nil
 }
 
-// Close releases the machine's engine resources.
-func (mc *machine) Close() { mc.eng.Close() }
+// Close releases the machine's engine resources, then hands the CP
+// memory, the disks' stored pages and the TC cache frames back to the
+// slab list (after the engine closes, so no proc unwound by Close can
+// touch a released slab). The machine's bytes are gone afterwards.
+func (mc *machine) Close() {
+	mc.eng.Close()
+	for _, node := range mc.m.CPs {
+		sim.PutSlab(node.Mem)
+		node.Mem = nil
+	}
+	for _, d := range mc.disks {
+		d.ReleaseData()
+	}
+	for _, s := range mc.tc {
+		s.ReleaseFrames()
+	}
+}
 
 // collectSubstrate sums the machine-level metrics — disks, buses,
 // interconnect, CPU busy time, fault totals — into r. Call after the
@@ -235,9 +251,9 @@ type transferClient interface {
 }
 
 // fileSystem is the method under test, built once per run: its servers
-// (caches and service pools persist across phases, as they would on a
-// real machine), a constructor for each collective transfer's client,
-// and the collection of the servers' counters.
+// (caches persist across phases, as they would on a real machine), a
+// constructor for each collective transfer's client, and the collection
+// of the servers' counters.
 type fileSystem struct {
 	tcServers []*tcfs.Server // traditional-caching IOPs (TC and two-phase)
 	newClient func(x *transfer, base []int64) transferClient
@@ -254,6 +270,7 @@ func buildFileSystem(cfg *Config, mc *machine) (*fileSystem, error) {
 		for i := range fs.tcServers {
 			fs.tcServers[i] = tcfs.NewServer(m, m.IOPs[i], f, cfg.NCP, cfg.TC)
 		}
+		mc.tc = fs.tcServers
 		fs.collect = collectTCFrom(fs.tcServers)
 		if cfg.Method == TraditionalCaching {
 			fs.newClient = func(x *transfer, base []int64) transferClient {
@@ -322,7 +339,7 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	for cp, node := range m.CPs {
-		node.Mem = make([]byte, lay.memBytes[cp])
+		node.Mem = sim.GetSlab(int(lay.memBytes[cp]))
 	}
 
 	fs, err := buildFileSystem(&cfg, mc)

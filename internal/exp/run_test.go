@@ -3,11 +3,13 @@ package exp
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
 	"ddio/internal/hpf"
 	"ddio/internal/pfs"
+	"ddio/internal/sim"
 	"ddio/internal/stats"
 	"ddio/internal/workload"
 )
@@ -251,6 +253,50 @@ func TestClassicEqualsOneCollectivePhase(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestSweepReusesRunMemory: while another engine stays open, as on a
+// sweep's parallel workers, a run reuses the CP memory, disk pages and
+// file-system buffers the previous run released. The second of two
+// identical runs then allocates at most half the bytes of the first,
+// and its Result — verification included — equals a cold run's: every
+// reused slab was cleared, so a lost delivery cannot pass on the
+// previous run's bytes.
+func TestSweepReusesRunMemory(t *testing.T) {
+	for _, method := range []Method{DiskDirected, TraditionalCaching} {
+		cfg := DefaultConfig()
+		cfg.Method, cfg.Pattern, cfg.Layout = method, "rb", pfs.RandomBlocks
+		cfg.FileBytes, cfg.RecordSize = MiB, 8192
+		cold, err := Run(cfg) // a lone run keeps nothing for the next
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cold.VerifyErrors != 0 {
+			t.Fatalf("%v cold run: %d verify errors", method, cold.VerifyErrors)
+		}
+
+		hold := sim.NewEngine()
+		var alloc [2]uint64
+		for i := range alloc {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			res, err := Run(cfg)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			alloc[i] = after.TotalAlloc - before.TotalAlloc
+			if !reflect.DeepEqual(res, cold) {
+				t.Fatalf("%v run %d with reuse differs from a cold run:\nwarm %+v\ncold %+v", method, i+1, res, cold)
+			}
+		}
+		hold.Close()
+		t.Logf("%v: allocated %d bytes, then %d", method, alloc[0], alloc[1])
+		if alloc[1] > alloc[0]/2 {
+			t.Errorf("%v: second run allocated %d bytes, more than half the first's %d: run memory not reused",
+				method, alloc[1], alloc[0])
 		}
 	}
 }

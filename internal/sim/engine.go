@@ -90,8 +90,12 @@ type Engine struct {
 }
 
 // NewEngine returns a new engine with the clock at zero and no pending
-// events.
-func NewEngine() *Engine { return &Engine{} }
+// events. The engine counts as open, keeping released slabs (see
+// slab.go) for reuse, until Close.
+func NewEngine() *Engine {
+	slabs.open()
+	return &Engine{}
+}
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
@@ -253,7 +257,8 @@ func (e *Engine) NumBlocked() int {
 // Close terminates all blocked procs and the suspended carriers of dead
 // ones, in creation order, and discards pending events. It is safe to
 // call multiple times. After Close the engine rejects new events and new
-// procs. Close must not be called from inside the simulation.
+// procs. Close must not be called from inside the simulation. Closing
+// the last open engine empties the slab list.
 func (e *Engine) Close() {
 	if e.closed {
 		return
@@ -264,6 +269,7 @@ func (e *Engine) Close() {
 		e.kill(p)
 	}
 	e.all, e.free = nil, nil
+	slabs.close()
 }
 
 // kill unwinds one proc's body on its carrier and returns the carrier to

@@ -16,7 +16,7 @@ const (
 // buffer is one block-sized cache frame.
 type buffer struct {
 	block   int    // file block held, -1 when free
-	data    []byte // allocated on the frame's first use
+	data    []byte // taken from the slab list on the frame's first use
 	written []bool // per-byte dirty bitmap (write-behind)
 	dirty   int    // count of dirty bytes
 	// partial marks a frame installed by a write: only its written bytes
@@ -28,7 +28,7 @@ type buffer struct {
 	lastUse  sim.Time
 	// scratch receives fill's disk read and then the flush snapshot (a
 	// pinned writer may still be copying into data while a flush runs).
-	// Allocated on first use; fill and flush never overlap on a frame.
+	// Taken on first use; fill and flush never overlap on a frame.
 	scratch []byte
 }
 
@@ -220,7 +220,7 @@ func (c *blockCache) acquire(p *sim.Proc) *buffer {
 			victim.reset()
 		}
 		if victim.data == nil {
-			victim.data = make([]byte, c.blockSize)
+			victim.data = sim.GetSlab(c.blockSize)
 		}
 		victim.state = bufReading // reserve the frame for the caller
 		return victim
@@ -243,10 +243,10 @@ func (c *blockCache) fill(p *sim.Proc, b *buffer) {
 	b.partial = false
 }
 
-// scratch returns the frame's scratch buffer, allocating it on first use.
+// scratch returns the frame's scratch buffer, taking it on first use.
 func (c *blockCache) scratch(b *buffer) []byte {
 	if b.scratch == nil {
-		b.scratch = make([]byte, c.blockSize)
+		b.scratch = sim.GetSlab(c.blockSize)
 	}
 	return b.scratch
 }

@@ -150,6 +150,17 @@ func NewServer(m *cluster.Machine, node *cluster.Node, f *pfs.File, nCP int, prm
 // Metrics returns a copy of the server's counters.
 func (s *Server) Metrics() Metrics { return s.m2 }
 
+// ReleaseFrames hands the cache's frame and scratch buffers back to the
+// slab list (sim.PutSlab). Call it once the run is over: the server must
+// not serve again.
+func (s *Server) ReleaseFrames() {
+	for _, b := range s.cache.bufs {
+		sim.PutSlab(b.data)
+		sim.PutSlab(b.scratch)
+		b.data, b.scratch = nil, nil
+	}
+}
+
 // localDiskCount returns how many of the file's disks this IOP serves.
 func (s *Server) localDiskCount() int {
 	n := 0
