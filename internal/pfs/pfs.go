@@ -101,6 +101,7 @@ func NewFile(disks []*disk.Disk, blockSize, numBlocks int, layout LayoutKind, rn
 			i++
 		}
 	}
+	ensureImage(f.Size())
 	return f, nil
 }
 
@@ -133,12 +134,23 @@ func (f *File) LocalBlocks(d int) []int {
 }
 
 // Preload writes the deterministic file image to the disks directly,
-// without simulating any I/O time, to set up read experiments.
+// without simulating any I/O time, to set up read experiments. Each
+// block is copied straight from the shared image prefix; only blocks
+// past it are hashed, into one block buffer.
 func (f *File) Preload() {
-	buf := make([]byte, f.BlockSize)
+	bs := int64(f.BlockSize)
+	var buf []byte
 	for b := 0; b < f.NumBlocks; b++ {
-		FillImage(buf, int64(b)*int64(f.BlockSize))
-		f.Disks[f.DiskOf(b)].WriteData(f.LBN(b), buf)
+		off := int64(b) * bs
+		img := covered(off, bs)
+		if img == nil {
+			if buf == nil {
+				buf = make([]byte, bs)
+			}
+			img = buf
+			fillHash(img, off)
+		}
+		f.Disks[f.DiskOf(b)].WriteData(f.LBN(b), img)
 	}
 }
 

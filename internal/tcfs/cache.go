@@ -1,6 +1,8 @@
 package tcfs
 
 import (
+	"math/bits"
+
 	"ddio/internal/sim"
 )
 
@@ -15,10 +17,10 @@ const (
 
 // buffer is one block-sized cache frame.
 type buffer struct {
-	block   int    // file block held, -1 when free
-	data    []byte // taken from the slab list on the frame's first use
-	written []bool // per-byte dirty bitmap (write-behind)
-	dirty   int    // count of dirty bytes
+	block   int      // file block held, -1 when free
+	data    []byte   // taken from the slab list on the frame's first use
+	written []uint64 // dirty bitmap, one bit per byte (write-behind); kept with the frame
+	dirty   int      // count of dirty bytes, the bitmap's population
 	// partial marks a frame installed by a write: only its written bytes
 	// are valid until fill merges the disk block under the rest.
 	partial  bool
@@ -35,7 +37,7 @@ type buffer struct {
 // reset frees the frame, keeping its byte buffers for the next block.
 func (b *buffer) reset() {
 	b.block = -1
-	b.written = nil
+	clear(b.written)
 	b.dirty = 0
 	b.partial = false
 	b.state = bufFree
@@ -146,9 +148,7 @@ func (c *blockCache) getWrite(p *sim.Proc, block int) *buffer {
 			if b.block == block && b.state == bufValid {
 				b.lastUse = p.Now()
 				c.s.m2.CacheHits++
-				if b.written == nil {
-					b.written = make([]bool, c.blockSize)
-				}
+				c.bitmap(b)
 				return b
 			}
 			b.pins--
@@ -162,13 +162,34 @@ func (c *blockCache) getWrite(p *sim.Proc, block int) *buffer {
 		b.block = block
 		b.state = bufValid
 		b.partial = true
-		b.written = make([]bool, c.blockSize)
+		c.bitmap(b)
 		b.pins++
 		b.lastUse = p.Now()
 		c.index[block] = b
 		c.noteOccupancy(p.Now())
 		c.s.m2.CacheMiss++
 		return b
+	}
+}
+
+// bitmap gives the frame its dirty bitmap on its first write; the frame
+// keeps it, cleared, from then on.
+func (c *blockCache) bitmap(b *buffer) {
+	if b.written == nil {
+		b.written = make([]uint64, (c.blockSize+63)/64)
+	}
+}
+
+// markWritten sets the bitmap over bytes [off, off+n) and counts the
+// newly set ones as dirty.
+func (b *buffer) markWritten(off, n int) {
+	for i, end := off, off+n; i < end; {
+		w, lo := i/64, i%64
+		hi := min(end-w*64, 64)
+		mask := ^uint64(0) >> (64 - (hi - lo)) << lo
+		b.dirty += bits.OnesCount64(mask &^ b.written[w])
+		b.written[w] |= mask
+		i = w*64 + hi
 	}
 }
 
@@ -235,9 +256,18 @@ func (c *blockCache) fill(p *sim.Proc, b *buffer) {
 	if !c.s.blockIO(p, false, b.block, c.scratch(b)) {
 		clear(b.scratch)
 	}
-	for i, w := range b.written {
-		if !w {
-			b.data[i] = b.scratch[i]
+	for w, m := range b.written {
+		i := w * 64
+		if m == 0 {
+			copy(b.data[i:min(i+64, len(b.data))], b.scratch[i:])
+		} else {
+			for u := ^m; u != 0; u &= u - 1 { // the word's unwritten bytes
+				j := i + bits.TrailingZeros64(u)
+				if j >= len(b.data) {
+					break
+				}
+				b.data[j] = b.scratch[j]
+			}
 		}
 	}
 	b.partial = false
@@ -271,9 +301,7 @@ func (c *blockCache) flush(p *sim.Proc, b *buffer) {
 	// Bytes written while the flush was in flight stay dirty.
 	if dirtyAtSubmit == b.dirty {
 		b.dirty = 0
-		for i := range b.written {
-			b.written[i] = false
-		}
+		clear(b.written)
 	}
 	b.flushing = false
 	c.changed.Broadcast()

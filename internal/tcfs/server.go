@@ -232,12 +232,7 @@ func (s *Server) handleWrite(h *sim.Proc, r *request) {
 	// handler's message buffer into the cache frame.
 	s.node.CPU.UseFor(h, s.prm.CopyPerByte*time.Duration(r.n))
 	copy(b.data[r.off:r.off+r.n], r.data)
-	for i := r.off; i < r.off+r.n; i++ {
-		if !b.written[i] {
-			b.written[i] = true
-			b.dirty++
-		}
-	}
+	b.markWritten(r.off, r.n)
 	full := b.dirty == s.f.BlockSize
 	// Ack before the write-behind happens: the data is safely cached.
 	s.node.CPU.UseFor(h, s.prm.ReplySendCPU)

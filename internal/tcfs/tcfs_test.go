@@ -1,10 +1,12 @@
 package tcfs
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
 	"ddio/internal/pfs"
+	"ddio/internal/sim"
 )
 
 func TestReadCorrectnessAcrossPatterns(t *testing.T) {
@@ -170,4 +172,89 @@ func TestSyncWaitsForOutstandingPrefetch(t *testing.T) {
 	}
 	// Nothing to assert numerically beyond completion: the sync path ran
 	// and the engine drained, which is the regression this guards.
+}
+
+// TestWriteBitmapCountsDistinctBytes: overlapping sub-block writes at odd
+// offsets and lengths that cross 64-byte word edges leave dirty equal to
+// the number of distinct bytes written; a read of the partial frame
+// merges the disk's bytes under exactly the unwritten ones; writing the
+// gaps completes the block, which flushes and verifies; and a warm write
+// hit allocates nothing.
+func TestWriteBitmapCountsDistinctBytes(t *testing.T) {
+	r := newRig(t, rigOpts{ncp: 1, niop: 1, ndisks: 1, blocks: 4, layout: pfs.Contiguous})
+	c := r.servers[0].cache
+	const block = 2
+	bs := r.f.BlockSize
+	base := int64(block * bs)
+	img := make([]byte, bs)
+	pfs.FillImage(img, base)
+	// The disk block reads as zeros, so a merge that overwrites a written
+	// byte, or misses an unwritten one, shows in the frame.
+	want := make([]byte, bs)
+	written := make([]bool, bs)
+	write := func(p *sim.Proc, off, n int) bool {
+		b := c.getWrite(p, block)
+		defer c.unpin(b)
+		copy(b.data[off:off+n], img[off:off+n])
+		b.markWritten(off, n)
+		distinct := 0
+		for i := off; i < off+n; i++ {
+			want[i], written[i] = img[i], true
+		}
+		for _, w := range written {
+			if w {
+				distinct++
+			}
+		}
+		if b.dirty != distinct {
+			t.Errorf("after write [%d, %d): dirty %d, want %d distinct bytes", off, off+n, b.dirty, distinct)
+			return false
+		}
+		return true
+	}
+	var allocs float64
+	r.eng.Go("writer", func(p *sim.Proc) {
+		for _, w := range [][2]int{
+			{3, 61}, {63, 2}, {60, 70}, {127, 129}, {999, 3}, {1000, 1},
+			{4095, 200}, {0, 1}, {bs - 92, 92}, {250, 10}, {64, 64}, {4000, 300},
+		} {
+			if !write(p, w[0], w[1]) {
+				return
+			}
+		}
+		b := c.getRead(p, block) // fills the partial frame from disk
+		if !bytes.Equal(b.data, want) {
+			t.Errorf("merged frame differs from the written bytes over zeros")
+		}
+		c.unpin(b)
+		for i := 0; i < bs; {
+			j := i
+			for j < bs && !written[j] {
+				j++
+			}
+			if j > i && !write(p, i, j-i) {
+				return
+			}
+			i = j + 1
+		}
+		c.flushAll(p)
+		allocs = testing.AllocsPerRun(50, func() {
+			b := c.getWrite(p, block)
+			b.markWritten(5, 100)
+			c.unpin(b)
+		})
+	})
+	r.eng.Run()
+	if t.Failed() {
+		return
+	}
+	if got := r.f.VerifyRange(base, int64(bs), make([]byte, bs)); got != -1 {
+		t.Fatalf("flushed block mismatch at offset %d", got)
+	}
+	if m := r.totalMetrics(); m.Flushes == 0 || m.PartialRMW != 0 {
+		t.Fatalf("%d flushes, %d read-modify-writes: want the completed block flushed whole", m.Flushes, m.PartialRMW)
+	}
+	if allocs != 0 {
+		t.Fatalf("warm write hit: %v allocs", allocs)
+	}
 }
