@@ -19,14 +19,15 @@ func benchOptions(fileBytes int64) ddio.Options {
 	return ddio.Options{Trials: 1, FileBytes: fileBytes, Seed: 11, Verify: false}
 }
 
-// reportTables pushes every cell mean into the benchmark metrics stream
-// as an overall average (MB/s) so regressions in simulated throughput
-// are visible alongside wall-clock regressions.
-func reportTables(b *testing.B, tables ...*ddio.Table) {
+// reportTables pushes every cell mean of the sweeps' tables into the
+// benchmark metrics stream as an overall average (MB/s) so regressions
+// in simulated throughput are visible alongside wall-clock regressions.
+func reportTables(b *testing.B, results ...*ddio.SweepResult) {
 	b.Helper()
 	var sum float64
 	var n int
-	for _, t := range tables {
+	for _, res := range results {
+		t := res.Table
 		for i := range t.Cells {
 			for j := range t.Cells[i] {
 				if t.Cols[j] == "max-bw" {
@@ -163,11 +164,11 @@ func BenchmarkFig8(b *testing.B) { benchFigure(b, "8") }
 func benchFigure(b *testing.B, fig string) {
 	o := benchOptions(1 * ddio.MiB)
 	for i := 0; i < b.N; i++ {
-		tables, err := ddio.Figure(o, fig)
+		results, err := ddio.Figure(o, fig)
 		if err != nil {
 			b.Fatal(err)
 		}
-		reportTables(b, tables...)
+		reportTables(b, results...)
 	}
 }
 

@@ -1,22 +1,18 @@
 // Command ddiosim runs a single disk-directed-I/O experiment and prints
-// its throughput and substrate metrics. With -sweep it runs a whole
-// declarative scale sweep (a preset name or JSON spec file — the same
-// specs cmd/figures runs; see EXPERIMENTS.md) using this command's
-// -trials/-j/-seed/-filemb flags.
+// its throughput and substrate metrics. Sweeps (preset names or JSON
+// spec files) run under cmd/figures -sweep; see EXPERIMENTS.md.
 //
 // Observability (see EXPERIMENTS.md "Traces and figures"): -trace and
 // -tracecsv record the run's event trace as JSONL / long-format CSV,
 // -tracehtml writes a self-contained explorable HTML viewer (timelines,
 // latency percentiles, per-request critical paths), and -plot renders
-// SVG — a per-disk utilization timeline for a single run, a paper-style
-// figure (or two-axis response-surface heatmap) for a sweep. Tracing
-// forces a single trial: a trace is one run's story.
+// the run's per-disk utilization timeline as SVG. Tracing forces a
+// single trial: a trace is one run's story.
 //
 // Example:
 //
 //	ddiosim -method ddio-sort -pattern rc -layout random -record 8
 //	ddiosim -method ddio-sort -pattern rb -trace run.jsonl -plot run.svg
-//	ddiosim -sweep ext-smoke -sweepjson ext-smoke.json -plot ext-smoke.svg
 package main
 
 import (
@@ -40,13 +36,10 @@ func main() {
 	method := flag.String("method", "tc", "file system: tc | ddio | ddio-sort | 2phase")
 	pattern := flag.String("pattern", "ra", "access pattern (ra rn rb rc rnb rbb rcb rbc rcc rcn, w...)")
 	layout := flag.String("layout", "random", "disk layout: contiguous | random")
-	sweep := flag.String("sweep", "", "run a sweep spec (preset name or JSON file) instead of a single experiment")
-	sweepJSON := flag.String("sweepjson", "", "with -sweep: also write the machine-readable sweep result to this file")
-	sweepCSV := flag.String("sweepcsv", "", "with -sweep: also write the long-format (tidy) per-cell CSV to this file")
 	traceOut := flag.String("trace", "", "write the run's event trace as JSON Lines to this file (single run; forces -trials 1)")
 	traceCSV := flag.String("tracecsv", "", "write the run's event trace as long-format CSV to this file (single run; forces -trials 1)")
 	traceHTML := flag.String("tracehtml", "", "write the run's explorable HTML trace viewer to this file (single run; forces -trials 1)")
-	plotOut := flag.String("plot", "", "write an SVG to this file: a disk-utilization timeline for a single run, the sweep figure with -sweep")
+	plotOut := flag.String("plot", "", "write the run's disk-utilization timeline SVG to this file (single run; forces -trials 1)")
 	faultsArg := flag.String("faults", "", "fault plan: inline JSON ({\"disk_error_rate\":0.05,...}) or a plan file; see EXPERIMENTS.md")
 	workloadArg := flag.String("workload", "", "workload: inline JSON spec, a spec file, or a .csv block trace; see EXPERIMENTS.md")
 	flag.IntVar(&cfg.NCP, "cps", cfg.NCP, "number of compute processors")
@@ -67,9 +60,8 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
 	flag.Parse()
 
-	// Profiles are written on normal completion (including the -sweep
-	// early return); a fatal() exit abandons them — profiling a failed
-	// run is not useful.
+	// Profiles are written on normal completion; a fatal() exit abandons
+	// them — profiling a failed run is not useful.
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
@@ -112,48 +104,6 @@ func main() {
 		}
 	}
 
-	if *sweep != "" {
-		if *traceOut != "" || *traceCSV != "" || *traceHTML != "" {
-			fmt.Fprintln(os.Stderr, "ddiosim: -trace/-tracecsv/-tracehtml record a single run and are ignored with -sweep")
-		}
-		opt := exp.Options{
-			Trials:    *trials,
-			FileBytes: *fileMB * exp.MiB,
-			Seed:      cfg.Seed,
-			Verify:    cfg.Verify,
-			Workers:   *workers,
-			Faults:    plan,
-			Workload:  wl,
-		}
-		if *verbose {
-			opt.Progress = func(line string) { fmt.Fprintln(os.Stderr, line) }
-		}
-		spec, err := exp.ResolveSweep(*sweep)
-		if err != nil {
-			fatal(err)
-		}
-		res, err := spec.RunFull(opt)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(res.Table.Format())
-		fmt.Printf("max cv %.3f\n", res.Table.MaxCV())
-		if *sweepJSON != "" {
-			data, err := res.JSON()
-			if err != nil {
-				fatal(err)
-			}
-			writeOut(*sweepJSON, data)
-		}
-		if *sweepCSV != "" {
-			writeOut(*sweepCSV, []byte(res.LongCSV()))
-		}
-		if *plotOut != "" {
-			writeOut(*plotOut, []byte(plot.SweepFigure(res)))
-		}
-		return
-	}
-
 	if *noDiskCache {
 		spec := *cfg.Disk
 		spec.CacheSegmentSectors = 0
@@ -172,9 +122,6 @@ func main() {
 	cfg.Faults = plan
 	cfg.Workload = wl
 
-	if *sweepJSON != "" || *sweepCSV != "" {
-		fmt.Fprintln(os.Stderr, "ddiosim: -sweepjson/-sweepcsv apply only with -sweep; ignored")
-	}
 	var t *exp.Trial
 	var rec *trace.Recorder
 	if traced := *traceOut != "" || *traceCSV != "" || *traceHTML != "" || *plotOut != ""; traced {
@@ -263,8 +210,7 @@ func main() {
 	}
 }
 
-// writeOut writes one artifact file, reporting it on stderr like the
-// sweep emitters do.
+// writeOut writes one artifact file, reporting it on stderr.
 func writeOut(path string, data []byte) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		fatal(err)

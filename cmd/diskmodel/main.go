@@ -66,7 +66,7 @@ func randomSlots(seed int64, n int, spec *disk.Spec) []int64 {
 func bench(seed int64, n int, slots []int64, write bool) string {
 	e := sim.NewEngine()
 	defer e.Close()
-	d := disk.New(e, "bench", disk.HP97560(), nil, nil)
+	d := disk.New(e, "bench", disk.HP97560(), nil)
 	data := make([]byte, 16*512)
 	var end sim.Time
 	e.Go("driver", func(p *sim.Proc) {

@@ -1,6 +1,6 @@
 // Command figures regenerates the paper's evaluation: Table 1 and
-// Figures 3–8. Output is aligned text (one table per figure); -csv and
-// -json add machine-readable files.
+// Figures 3–8. Output is aligned text (one table per sweep); -csv, -json
+// and -plot add machine-readable files and SVG figures.
 //
 // The paper used five trials of a 10 MB file; -trials and -filemb trade
 // fidelity for time (shapes are stable well below the defaults). Every
@@ -8,16 +8,21 @@
 // worker pool; tables are bit-identical for any -j, only the progress
 // line order changes.
 //
-// Every figure is a sweep preset, and -sweep runs presets directly: a
-// built-in preset by name (-sweeps lists them; the fig3a-paper…
-// fig8-paper presets emit exactly the Figure 3–8 tables, the *-ext
-// presets push the machine-shape axes past the paper's 16
-// CPs/IOPs/disks) or a JSON spec file by path. EXPERIMENTS.md documents
-// every preset and the file format.
+// Every figure is a sweep preset: -fig N runs the figure's *-paper
+// presets, and -sweep runs presets directly: a built-in preset by name
+// (-sweeps lists them; the *-ext presets push the machine-shape axes
+// past the paper's 16 CPs/IOPs/disks) or a JSON spec file by path.
+// EXPERIMENTS.md documents every preset and the file format. Both paths
+// write each sweep's artifacts through one table (plot.Artifacts), the
+// same one the ddiosimd daemon serves from:
 //
-// -plot additionally renders every emitted table as an SVG figure
-// (grouped bars for the pattern grids, line figures for the sweeps),
-// and -trace runs one traced Figure-3a-style transfer per file system
+//	stdout           the text table and its max-cv line
+//	-csv             <table-id>.csv (wide) and <spec>-long.csv (tidy)
+//	-json            <spec>.json: spec, table and per-cell trial statistics
+//	-plot            <spec>.svg, plus <spec>-time.svg for degradation and
+//	                 workload sweeps
+//
+// -trace runs one traced Figure-3a-style transfer per file system
 // (random-blocks, 8-byte records, the rc pattern) and writes its
 // per-disk utilization timeline SVG plus the raw JSONL trace
 // — the time-resolved view behind the paper's "disk-directed I/O keeps
@@ -28,10 +33,9 @@
 //	figures -fig 3 -trials 5
 //	figures -all -trials 3 -filemb 10 -out results/
 //	figures -all -j 16
-//	figures -sweep fig5-paper            # == -fig 5, via the sweep layer
-//	figures -sweep fig7-ext -json -j 16  # extended axes, JSON artifact
+//	figures -fig 5 -plot                 # == -sweep fig5-paper -plot: fig5-paper.svg
+//	figures -sweep fig7-ext -json -j 16  # extended axes, fig7-ext.json
 //	figures -sweep my-sweep.json
-//	figures -sweep fig5-paper -plot      # + fig5-paper.svg
 //	figures -trace -trials 1 -filemb 1   # timeline-{tc,ddio,2phase}.svg
 package main
 
@@ -40,6 +44,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -61,9 +66,9 @@ func main() {
 	verify := flag.Bool("verify", true, "verify data end to end in every run")
 	workers := flag.Int("j", 0, "concurrent experiment runs (0 = GOMAXPROCS); tables are identical for any -j")
 	quiet := flag.Bool("q", false, "suppress per-cell progress on stderr")
-	csv := flag.Bool("csv", false, "also write CSV files (sweeps also get a long-format *-long.csv)")
-	jsonOut := flag.Bool("json", false, "also write JSON files (sweeps carry per-cell trial statistics)")
-	plotOut := flag.Bool("plot", false, "also render every table as an SVG figure")
+	csv := flag.Bool("csv", false, "also write each sweep's table CSV and long-format <spec>-long.csv")
+	jsonOut := flag.Bool("json", false, "also write each sweep's <spec>.json (table plus per-cell trial statistics)")
+	plotOut := flag.Bool("plot", false, "also render each sweep's <spec>.svg figure (and <spec>-time.svg where it has one)")
 	traceRuns := flag.Bool("trace", false, "run one traced Figure-3a-style transfer per file system; write timeline SVGs + JSONL traces")
 	out := flag.String("out", "", "directory for CSV/JSON/SVG output (default: current)")
 	faultsArg := flag.String("faults", "", "fault plan for every run: inline JSON or a plan file (sweep specs with their own faults template take precedence)")
@@ -118,28 +123,29 @@ func main() {
 		fmt.Fprintf(os.Stderr, "wrote %s\n", path)
 	}
 
-	// printTable is the shared text + wide-CSV emission; emit adds the
-	// figure path's per-table SVG and bare-Table JSON (sweeps name their
-	// files after the spec instead, see below).
-	printTable := func(t *exp.Table) {
-		fmt.Println(t.Format())
-		fmt.Printf("max cv %.3f\n\n", t.MaxCV())
-		if *csv {
-			writeOut(t.ID+".csv", []byte(t.CSV()))
-		}
+	// emit writes one executed sweep through the artifact table: the
+	// text table to stdout, and each file its flag asks for.
+	want := map[string]bool{
+		"text": true, "tablecsv": *csv, "csv": *csv, "json": *jsonOut,
+		"svg": *plotOut, "timesvg": *plotOut,
 	}
-	emit := func(tables ...*exp.Table) {
-		for _, t := range tables {
-			printTable(t)
-			if *plotOut {
-				writeOut(t.ID+".svg", []byte(plot.FigureSVG(t)))
-			}
-			if *jsonOut {
-				data, err := t.JSON()
+	emit := func(results ...*exp.SweepResult) {
+		for _, res := range results {
+			for _, a := range plot.Artifacts {
+				if !want[a.Format] {
+					continue
+				}
+				data, err := a.Render(res)
 				if err != nil {
 					fatal(err)
 				}
-				writeOut(t.ID+".json", data)
+				switch name := a.File(res.Spec); {
+				case data == nil: // no such view of this sweep
+				case name == "":
+					os.Stdout.Write(data)
+				default:
+					writeOut(name, data)
+				}
 			}
 		}
 	}
@@ -157,31 +163,7 @@ func main() {
 			if err != nil {
 				fatal(err)
 			}
-			printTable(res.Table)
-			if *csv {
-				writeOut(spec.Name+"-long.csv", []byte(res.LongCSV()))
-			}
-			if *jsonOut {
-				data, err := res.JSON()
-				if err != nil {
-					fatal(err)
-				}
-				// Sweep results are written under the spec name, not the
-				// table ID: fig5-paper's table carries the historical ID
-				// "fig5", and fig5.json is the bare-Table schema that
-				// `-fig 5 -json` emits — a different format.
-				writeOut(spec.Name+".json", data)
-			}
-			if *plotOut {
-				writeOut(spec.Name+".svg", []byte(plot.SweepFigure(res)))
-				if svg := plot.SweepTimeFigure(res); svg != "" {
-					// Degradation sweeps get the completion-time companion
-					// figure (recovery stretches time even where throughput
-					// curves flatten); workload sweeps get the
-					// request-latency-percentile companion.
-					writeOut(spec.Name+"-time.svg", []byte(svg))
-				}
-			}
+			emit(res)
 		}
 		if *traceRuns {
 			traceFigure3Runs(opt, *out, writeOut)
@@ -198,9 +180,14 @@ func main() {
 		}
 	}
 	for _, f := range strings.Split(*fig, ",") {
-		if f != "" {
-			which[strings.TrimPrefix(f, "fig")] = true
+		if f == "" {
+			continue
 		}
+		key := strings.TrimPrefix(f, "fig")
+		if key != "table1" && !slices.Contains(figs, key) {
+			fatal(fmt.Errorf("unknown -fig value %q (want 3, 4, 5, 6, 7, 8 or table1)", f))
+		}
+		which[key] = true
 	}
 
 	if which["table1"] {
@@ -211,23 +198,23 @@ func main() {
 	// figures).
 	var headlines *exp.Headlines
 	if which["3"] && which["4"] {
-		h, tables, err := exp.RegenerateHeadlines(opt)
+		h, results, err := exp.RegenerateHeadlines(opt)
 		if err != nil {
 			fatal(err)
 		}
 		headlines = h
-		emit(tables...)
+		emit(results...)
 		which["3"], which["4"] = false, false
 	}
 	for _, f := range figs {
 		if !which[f] {
 			continue
 		}
-		tables, err := exp.Figure(opt, f)
+		results, err := exp.Figure(opt, f)
 		if err != nil {
 			fatal(err)
 		}
-		emit(tables...)
+		emit(results...)
 	}
 	if headlines != nil {
 		fmt.Println(headlines.Format())

@@ -139,8 +139,8 @@ func AllPatterns() []string { return hpf.AllPatterns() }
 
 // Figure regenerates one of the paper's figures, "3" through "8", by
 // running its *-paper sweep presets: the 8-byte and 8192-byte record
-// tables for Figures 3 and 4, one table for each of Figures 5–8.
-func Figure(o Options, fig string) ([]*Table, error) { return exp.Figure(o, fig) }
+// sweeps for Figures 3 and 4, one sweep for each of Figures 5–8.
+func Figure(o Options, fig string) ([]*SweepResult, error) { return exp.Figure(o, fig) }
 
 // Table1 renders the simulator parameters (the paper's Table 1).
 func Table1() string { return exp.Table1() }
@@ -224,19 +224,23 @@ func NewTraceRecorder() *TraceRecorder { return trace.New() }
 // sequence and reports the identical throughput as an untraced run.
 func TracedRun(cfg Config) (*Result, *TraceRecorder, error) { return exp.TracedRun(cfg) }
 
-// SweepFigureSVG renders an executed sweep as a paper-style SVG line
-// figure (the plot counterpart of the Figure 5–8 tables).
-func SweepFigureSVG(res *SweepResult) string { return plot.SweepFigure(res) }
+// SweepFigureSVG renders an executed sweep as its paper-style SVG figure
+// (line figure, grouped bars or heatmap): the <spec>.svg artifact of
+// cmd/figures -plot.
+func SweepFigureSVG(res *SweepResult) string { return sweepSVG(res, "svg") }
 
-// SweepTimeFigureSVG renders a degradation sweep's completion-time
-// companion figure (empty string for fault-free sweeps, which carry no
-// per-cell times).
-func SweepTimeFigureSVG(res *SweepResult) string { return plot.SweepTimeFigure(res) }
+// SweepTimeFigureSVG renders a degradation or workload sweep's
+// time-domain companion figure, the <spec>-time.svg artifact (empty for
+// other sweeps, which carry no per-cell times or latencies).
+func SweepTimeFigureSVG(res *SweepResult) string { return sweepSVG(res, "timesvg") }
 
-// FigureSVG renders a regenerated table in its natural SVG form:
-// grouped bars for the pattern grids (Figures 3–4), a line figure for
-// the machine-shape sweeps (Figures 5–8).
-func FigureSVG(t *Table) string { return plot.FigureSVG(t) }
+// sweepSVG renders one SVG entry of the sweep artifact table, which
+// cannot fail.
+func sweepSVG(res *SweepResult, format string) string {
+	a, _ := plot.LookupArtifact(format)
+	svg, _ := a.Render(res)
+	return string(svg)
+}
 
 // UtilizationTimelineSVG renders a traced run's per-disk busy intervals
 // as a Gantt-style SVG timeline — the picture behind the paper's

@@ -87,6 +87,24 @@ func TestPublicTable1(t *testing.T) {
 	}
 }
 
+// TestPublicSweepFigures runs a one-cell sweep through the facade and
+// renders its figures: a line figure, and no time-domain companion for
+// a fault-free classic sweep.
+func TestPublicSweepFigures(t *testing.T) {
+	spec := &ddio.SweepSpec{Name: "one", Title: "one cell", Axis: "cps", Values: []int{2},
+		IOPs: 2, Disks: 2, Layout: "contiguous", Methods: []string{"ddio"}, Patterns: []string{"rb"}}
+	res, err := spec.RunFull(ddio.Options{Trials: 1, FileBytes: 1 * ddio.MiB, Seed: 1, Verify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if svg := ddio.SweepFigureSVG(res); !strings.HasPrefix(svg, "<svg") || !strings.Contains(svg, "one cell") {
+		t.Fatalf("sweep figure: %.80q", svg)
+	}
+	if svg := ddio.SweepTimeFigureSVG(res); svg != "" {
+		t.Fatalf("fault-free sweep has a time figure: %.80q", svg)
+	}
+}
+
 func TestAllMethodsAllPatternsSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full pattern sweep")

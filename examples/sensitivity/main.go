@@ -20,10 +20,10 @@ func main() {
 	opt.FileBytes = 2 * ddio.MiB
 	opt.Progress = func(line string) { fmt.Println("  ", line) }
 
-	tables, err := ddio.Figure(opt, "5")
+	results, err := ddio.Figure(opt, "5")
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println()
-	fmt.Println(tables[0].Format())
+	fmt.Println(results[0].Table.Format())
 }

@@ -46,7 +46,7 @@ func newRig(t *testing.T, o rigOpts) *rig {
 	}
 	disks := make([]*disk.Disk, o.ndisks)
 	for d := range disks {
-		disks[d] = disk.New(e, fmt.Sprintf("d%d", d), disk.HP97560(), buses[d%o.niop], nil)
+		disks[d] = disk.New(e, fmt.Sprintf("d%d", d), disk.HP97560(), buses[d%o.niop])
 	}
 	f, err := pfs.NewFile(disks, 8192, o.blocks, o.layout, rng)
 	if err != nil {

@@ -65,7 +65,6 @@ type Disk struct {
 	g     *geom
 	cache *racache
 	wb    wcache
-	sched Scheduler
 
 	curCyl int64
 	queue  []*Request
@@ -83,18 +82,13 @@ type Disk struct {
 // IOP). With more than a few disks per bus the bus, not the disks,
 // becomes the bottleneck — the effect Figures 6–8 explore. bus may be
 // nil to model a drive with an uncontended, infinitely fast channel.
-// sched nil defaults to FCFS.
-func New(e *sim.Engine, name string, spec *Spec, bus *sim.Pipe, sched Scheduler) *Disk {
-	if sched == nil {
-		sched = FCFS{}
-	}
+func New(e *sim.Engine, name string, spec *Spec, bus *sim.Pipe) *Disk {
 	d := &Disk{
 		Name:  name,
 		Spec:  spec,
 		eng:   e,
 		bus:   bus,
 		g:     newGeom(spec),
-		sched: sched,
 		pages: make(map[int64][]byte),
 		rec:   e.Recorder(),
 	}
@@ -114,8 +108,8 @@ func (d *Disk) Metrics() Metrics { return d.m }
 // without fault injection. Call before the run starts.
 func (d *Disk) SetFaults(f *fault.DiskFaults) { d.faults = f }
 
-// Submit enqueues a request; the server process picks it up according to
-// the disk's scheduler. May be called from proc or event context.
+// Submit enqueues a request; the server process serves the queue in
+// arrival order. May be called from proc or event context.
 func (d *Disk) Submit(r *Request) {
 	d.g.check(r.LBN, r.Count)
 	if int64(len(r.Data)) != r.Count*int64(d.Spec.SectorSize) {
@@ -220,9 +214,8 @@ func (d *Disk) run(p *sim.Proc) {
 		for len(d.queue) == 0 {
 			d.queued.Wait(p)
 		}
-		i := d.sched.Pick(d.queue, d.curCyl)
-		r := d.queue[i]
-		d.queue = append(d.queue[:i], d.queue[i+1:]...)
+		r := d.queue[0]
+		d.queue = append(d.queue[:0], d.queue[1:]...)
 		d.m.QueueWait += time.Duration(p.Now() - r.enq)
 		d.serve(p, r)
 	}

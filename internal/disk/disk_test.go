@@ -2,6 +2,7 @@ package disk
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"time"
 
@@ -14,7 +15,7 @@ func newTestDisk(t *testing.T, spec *Spec) (*sim.Engine, *Disk) {
 	t.Helper()
 	e := sim.NewEngine()
 	t.Cleanup(e.Close)
-	d := New(e, "t0", spec, nil, nil)
+	d := New(e, "t0", spec, nil)
 	return e, d
 }
 
@@ -126,7 +127,7 @@ func TestSortedReadsBeatUnsorted(t *testing.T) {
 	run := func(sortIt bool) time.Duration {
 		e := sim.NewEngine()
 		defer e.Close()
-		d := New(e, "t", HP97560(), nil, nil)
+		d := New(e, "t", HP97560(), nil)
 		rng := sim.NewRand(9)
 		slots := make([]int64, 80)
 		for i := range slots {
@@ -195,7 +196,7 @@ func TestReadAheadDisabledByZeroSegment(t *testing.T) {
 	// Write-behind is also disabled: writes are synchronous.
 	e2 := sim.NewEngine()
 	defer e2.Close()
-	d2 := New(e2, "t2", spec, nil, nil)
+	d2 := New(e2, "t2", spec, nil)
 	var dur time.Duration
 	e2.Go("t", func(p *sim.Proc) {
 		t0 := p.Now()
@@ -245,45 +246,18 @@ func TestFlushDrainsQueueAndWriteBehind(t *testing.T) {
 	e.Run()
 }
 
-func TestSchedulerSSTFPicksNearest(t *testing.T) {
-	g := testGeom()
-	q := []*Request{
-		{cyl: 500},
-		{cyl: 100},
-		{cyl: 105},
+// TestDiskServesArrivalOrder: the drive serves its queue first come,
+// first served, even when a later request lies nearer the head.
+func TestDiskServesArrivalOrder(t *testing.T) {
+	e, d := newTestDisk(t, HP97560())
+	var order []int
+	for i, lbn := range []int64{2_000_000, 0, 1_000_000} {
+		d.Submit(&Request{LBN: lbn, Count: 16, Data: make([]byte, 16*512),
+			OnDone: func(sim.Time) { order = append(order, i) }})
 	}
-	if i := (SSTF{}).Pick(q, 104); i != 2 {
-		t.Fatalf("SSTF picked %d, want 2 (cyl 105)", i)
-	}
-	if i := (SSTF{}).Pick(q, 600); i != 0 {
-		t.Fatalf("SSTF picked %d, want 0 (cyl 500)", i)
-	}
-	_ = g
-}
-
-func TestSchedulerCSCANSweepsUpThenWraps(t *testing.T) {
-	q := []*Request{
-		{cyl: 50},
-		{cyl: 900},
-		{cyl: 400},
-	}
-	if i := (CSCAN{}).Pick(q, 300); i != 2 {
-		t.Fatalf("CSCAN picked %d, want 2 (cyl 400 ahead)", i)
-	}
-	if i := (CSCAN{}).Pick(q, 950); i != 0 {
-		t.Fatalf("CSCAN wrap picked %d, want 0 (lowest cyl)", i)
-	}
-}
-
-func TestSchedulerFCFS(t *testing.T) {
-	q := []*Request{{cyl: 9}, {cyl: 1}}
-	if (FCFS{}).Pick(q, 0) != 0 {
-		t.Fatal("FCFS must pick the head")
-	}
-	for _, s := range []Scheduler{FCFS{}, SSTF{}, CSCAN{}} {
-		if s.Name() == "" {
-			t.Error("scheduler without a name")
-		}
+	e.Run()
+	if !slices.Equal(order, []int{0, 1, 2}) {
+		t.Fatalf("service order %v, want [0 1 2]", order)
 	}
 }
 

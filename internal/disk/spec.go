@@ -6,7 +6,7 @@
 // The model tracks geometry (cylinders, heads, sectors, track and
 // cylinder skew), a piecewise seek-time curve, rotational position
 // derived from absolute virtual time, a read-ahead cache segment, and a
-// per-disk request queue with pluggable scheduling. Data is carried for
+// per-disk first-come-first-served request queue. Data is carried for
 // real: writes store bytes, reads return them, so higher layers can
 // verify end-to-end correctness.
 package disk

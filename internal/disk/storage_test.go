@@ -129,7 +129,7 @@ func TestReleaseDataHandsPagesOnZeroed(t *testing.T) {
 		t.Fatal("released disk still reads its old bytes")
 	}
 
-	d2 := New(e, "t1", HP97560(), nil, nil)
+	d2 := New(e, "t1", HP97560(), nil)
 	d2.WriteData(4, fill(4*512, 0x5A))
 	if &d2.pages[0][0] != old {
 		t.Fatal("the released page was not reused")

@@ -136,7 +136,6 @@ type cellKeyView struct {
 	Verify     bool
 
 	Disk         diskKeyView
-	DiskSched    string // scheduler name; FCFS when unset
 	Net          netKeyView
 	BusBandwidth float64
 	BusOverhead  time.Duration
@@ -184,7 +183,6 @@ func cellKeyBytes(cfg Config) []byte {
 		Layout:       int(cfg.Layout),
 		Seed:         cfg.Seed,
 		Verify:       cfg.Verify,
-		DiskSched:    "fcfs",
 		Net:          netKeyView(cfg.Net),
 		BusBandwidth: cfg.BusBandwidth,
 		BusOverhead:  cfg.BusOverhead,
@@ -194,9 +192,6 @@ func cellKeyBytes(cfg Config) []byte {
 		TP:           tpKeyView(cfg.TP),
 		Faults:       cfg.Faults,
 		Workload:     cfg.Workload,
-	}
-	if cfg.DiskSched != nil {
-		v.DiskSched = cfg.DiskSched.Name()
 	}
 	if d := cfg.Disk; d != nil {
 		v.Disk = diskKeyView{

@@ -98,11 +98,10 @@ type Config struct {
 	// concurrent runs on the Runner's pool — so it must not be mutated
 	// once experiments start (mutate a copy, as cmd/ddiosim does).
 	Disk         *disk.Spec
-	DiskSched    disk.Scheduler // nil = FCFS
-	Net          netsim.Config  // torus interconnect parameters
-	BusBandwidth float64        // SCSI bus bandwidth, bytes/s
-	BusOverhead  time.Duration  // per-transfer bus arbitration cost
-	BarrierCost  time.Duration  // collective-operation entry cost
+	Net          netsim.Config // torus interconnect parameters
+	BusBandwidth float64       // SCSI bus bandwidth, bytes/s
+	BusOverhead  time.Duration // per-transfer bus arbitration cost
+	BarrierCost  time.Duration // collective-operation entry cost
 
 	TC tcfs.Params     // traditional-caching tuning
 	DD core.Params     // disk-directed I/O tuning

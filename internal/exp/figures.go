@@ -122,21 +122,21 @@ var paperFigures = map[string][]string{
 // running its presets: Figures 3 and 4 are the pattern grids (8-byte and
 // 8192-byte records on the random-blocks and contiguous layouts),
 // Figures 5–8 the machine-shape sweeps over CPs, IOPs and disks.
-func Figure(o Options, fig string) ([]*Table, error) {
+func Figure(o Options, fig string) ([]*SweepResult, error) {
 	names, ok := paperFigures[fig]
 	if !ok {
 		return nil, fmt.Errorf("exp: no paper figure %q (want 3 to 8)", fig)
 	}
-	tables := make([]*Table, len(names))
+	results := make([]*SweepResult, len(names))
 	for i, name := range names {
 		s, _ := LookupPreset(name)
-		t, err := s.Run(o)
+		res, err := s.RunFull(o)
 		if err != nil {
 			return nil, err
 		}
-		tables[i] = t
+		results[i] = res
 	}
-	return tables, nil
+	return results, nil
 }
 
 // Table1 renders the simulator parameters (the paper's Table 1).

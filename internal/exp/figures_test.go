@@ -21,10 +21,11 @@ func tinyPatternSpec() *SweepSpec {
 }
 
 func TestPatternTableShape(t *testing.T) {
-	tab, err := tinyPatternSpec().Run(tinyOptions())
+	res, err := tinyPatternSpec().RunFull(tinyOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
+	tab := res.Table
 	if len(tab.Rows) != 2 || len(tab.Cols) != 2 || len(tab.Cells) != 2 {
 		t.Fatalf("table shape %dx%d", len(tab.Rows), len(tab.Cols))
 	}
@@ -56,10 +57,11 @@ func tinySweepSpec() *SweepSpec {
 
 func TestSweepTableShape(t *testing.T) {
 	o := tinyOptions()
-	tab, err := tinySweepSpec().Run(o)
+	res, err := tinySweepSpec().RunFull(o)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tab := res.Table
 	if len(tab.Rows) != 2 {
 		t.Fatalf("rows %d", len(tab.Rows))
 	}

@@ -27,9 +27,10 @@ type Headlines struct {
 }
 
 // RegenerateHeadlines regenerates Figures 3 and 4 with the options'
-// worker pool and distills the headline claims from them. The tables
-// are returned too so callers can render them without a second pass.
-func RegenerateHeadlines(o Options) (*Headlines, []*Table, error) {
+// worker pool and distills the headline claims from them. The sweep
+// results are returned too so callers can render them without a second
+// pass.
+func RegenerateHeadlines(o Options) (*Headlines, []*SweepResult, error) {
 	fig3, err := Figure(o, "3")
 	if err != nil {
 		return nil, nil, err
@@ -39,11 +40,19 @@ func RegenerateHeadlines(o Options) (*Headlines, []*Table, error) {
 		return nil, nil, err
 	}
 	base := o.base()
-	h, err := ComputeHeadlines(fig3, fig4, base.MaxBandwidthMBps())
+	h, err := ComputeHeadlines(tables(fig3), tables(fig4), base.MaxBandwidthMBps())
 	if err != nil {
 		return nil, nil, err
 	}
 	return h, append(fig3, fig4...), nil
+}
+
+func tables(results []*SweepResult) []*Table {
+	ts := make([]*Table, len(results))
+	for i, res := range results {
+		ts[i] = res.Table
+	}
+	return ts
 }
 
 // ComputeHeadlines derives the headline numbers from the Figure 3 and

@@ -116,13 +116,14 @@ func TestRegenerateHeadlines(t *testing.T) {
 		t.Skip("regenerates the full pattern grid")
 	}
 	o := Options{Trials: 1, FileBytes: 512 * 1024, Seed: 5, Verify: false, Workers: 8}
-	h, tables, err := RegenerateHeadlines(o)
+	h, results, err := RegenerateHeadlines(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tables) != 4 {
-		t.Fatalf("got %d tables, want 4", len(tables))
+	if len(results) != 4 {
+		t.Fatalf("got %d sweeps, want 4", len(results))
 	}
+	tabs := tables(results)
 	if h.MaxSpeedupRandom <= 1 || h.MaxSpeedupContig <= 1 {
 		t.Fatalf("headline speedups not positive: %+v", h)
 	}
@@ -135,10 +136,10 @@ func TestRegenerateHeadlines(t *testing.T) {
 			}
 		}
 	}
-	atLeast(tables[0], "DDIO+sort")
-	atLeast(tables[1], "DDIO+sort")
-	atLeast(tables[2], "DDIO")
-	atLeast(tables[3], "DDIO")
+	atLeast(tabs[0], "DDIO+sort")
+	atLeast(tabs[1], "DDIO+sort")
+	atLeast(tabs[2], "DDIO")
+	atLeast(tabs[3], "DDIO")
 	if h.PresortGainMin <= 0 {
 		t.Errorf("presort gain minimum %.4f, want > 0", h.PresortGainMin)
 	}

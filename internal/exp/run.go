@@ -135,7 +135,7 @@ func buildMachine(cfg *Config) (*machine, error) {
 	}
 	mc.disks = make([]*disk.Disk, cfg.NDisks)
 	for d := range mc.disks {
-		mc.disks[d] = disk.New(mc.eng, fmt.Sprintf("d%d", d), cfg.Disk, mc.buses[d%cfg.NIOP], cfg.DiskSched)
+		mc.disks[d] = disk.New(mc.eng, fmt.Sprintf("d%d", d), cfg.Disk, mc.buses[d%cfg.NIOP])
 		mc.disks[d].SetFaults(mc.inj.Disk(d))
 	}
 	f, err := pfs.NewFile(mc.disks, cfg.BlockSize, cfg.NumBlocks(), cfg.Layout, mc.rng)

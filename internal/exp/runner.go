@@ -104,30 +104,13 @@ func (r *Runner) progressLocked(format string, args ...any) {
 func (r *Runner) RunAll(cfgs []Config, onDone func(i int, res *Result)) ([]*Result, error) {
 	results := make([]*Result, len(cfgs))
 	errs := make([]error, len(cfgs))
-	workers := r.workers
-	if workers > len(cfgs) {
-		workers = len(cfgs)
-	}
-	if workers <= 1 {
-		for i := range cfgs {
-			if err := r.runOne(cfgs, i, results, errs, onDone); err != nil {
-				return nil, err
-			}
-		}
-		// Panicked cells do not fail fast (see runOne); surface the
-		// lowest-indexed one after every other cell has completed.
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-		return results, nil
-	}
-	// Fail fast like the sequential path: once any run fails, workers
-	// skip the remaining configs (draining the feed so it never
-	// blocks). A lower-indexed config may be skipped after a
-	// higher-indexed one has already failed, so the error scan below
-	// picks the lowest-indexed failure that actually ran.
+	workers := min(max(r.workers, 1), len(cfgs))
+	// Fail fast: once any run fails, workers skip the remaining configs
+	// (draining the feed so it never blocks). With several workers a
+	// lower-indexed config may be skipped after a higher-indexed one has
+	// already failed, so the error scan below picks the lowest-indexed
+	// failure that actually ran. A panicked cell does not fail fast (see
+	// runOne); the scan surfaces it after every other cell has completed.
 	var failed atomic.Bool
 	idx := make(chan int)
 	var wg sync.WaitGroup

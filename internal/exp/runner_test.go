@@ -20,16 +20,16 @@ func parOptions(workers int) Options {
 // index, so scheduling order cannot leak into the cells.
 func assertParallelBitIdentical(t *testing.T, spec *SweepSpec) {
 	t.Helper()
-	seq, err := spec.Run(parOptions(1))
+	seq, err := spec.RunFull(parOptions(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := spec.Run(parOptions(8))
+	par, err := spec.RunFull(parOptions(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(seq.Cells, par.Cells) {
-		t.Fatalf("parallel cells differ from sequential:\nseq %+v\npar %+v", seq.Cells, par.Cells)
+	if !reflect.DeepEqual(seq.Table.Cells, par.Table.Cells) {
+		t.Fatalf("parallel cells differ from sequential:\nseq %+v\npar %+v", seq.Table.Cells, par.Table.Cells)
 	}
 }
 
@@ -77,7 +77,7 @@ func TestParallelProgressSerialized(t *testing.T) {
 	spec := tinyPatternSpec()
 	spec.Name = "figQ"
 	spec.Patterns = []string{"ra", "rb"}
-	if _, err := spec.Run(o); err != nil {
+	if _, err := spec.RunFull(o); err != nil {
 		t.Fatal(err)
 	}
 	if want := len(spec.Patterns) * len(spec.Methods); len(lines) != want {

@@ -504,30 +504,11 @@ func (r *SweepResult) JSON() ([]byte, error) {
 	return json.MarshalIndent(r, "", "  ")
 }
 
-// ParseSweepResult parses JSON produced by SweepResult.JSON.
-func ParseSweepResult(data []byte) (*SweepResult, error) {
-	var r SweepResult
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("exp: parsing sweep result: %w", err)
-	}
-	return &r, nil
-}
-
-// Run executes the sweep on the options' worker pool and returns its
-// table. For the paper-range presets the result is bit-identical to the
-// original hard-coded figure generators (pinned by the golden expansion
-// test): the config grid, seed derivation, and aggregation order are
-// exactly theirs.
-func (s *SweepSpec) Run(o Options) (*Table, error) {
-	res, err := s.RunFull(o)
-	if err != nil {
-		return nil, err
-	}
-	return res.Table, nil
-}
-
-// RunFull executes the sweep and returns the table plus per-cell trial
-// statistics for machine-readable output.
+// RunFull executes the sweep on the options' worker pool and returns the
+// table plus per-cell trial statistics. For the paper-range presets the
+// table is bit-identical to the original hard-coded figure generators
+// (pinned by the golden expansion test): the config grid, seed
+// derivation, and aggregation order are exactly theirs.
 func (s *SweepSpec) RunFull(o Options) (*SweepResult, error) {
 	t, cfgs, err := s.Expand(o)
 	if err != nil {
@@ -586,9 +567,9 @@ func (s *SweepSpec) RunFull(o Options) (*SweepResult, error) {
 	return &SweepResult{Spec: s, Table: t, CellStats: cellStats, CellTime: cellTime}, nil
 }
 
-// ResolveSweep turns a sweep argument — as the -sweep flags of
-// cmd/figures and cmd/ddiosim accept — into a validated spec: a
-// built-in preset name, or a path to a JSON spec file.
+// ResolveSweep turns a sweep argument — as cmd/figures -sweep accepts —
+// into a validated spec: a built-in preset name, or a path to a JSON
+// spec file.
 func ResolveSweep(nameOrPath string) (*SweepSpec, error) {
 	if spec, ok := LookupPreset(nameOrPath); ok {
 		return spec, nil

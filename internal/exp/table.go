@@ -1,9 +1,7 @@
 package exp
 
 import (
-	"encoding/json"
 	"fmt"
-	"strconv"
 	"strings"
 
 	"ddio/internal/stats"
@@ -17,9 +15,8 @@ type Cell struct {
 }
 
 // Table is one reproduced figure or table: rows × columns of throughput
-// cells, formatted like the paper reports them. Tables marshal to JSON
-// losslessly (JSON/ParseTableJSON round-trip the full cell grid) and to
-// CSV at fixed precision (CSV/ParseTableCSV round-trip the means).
+// cells, formatted like the paper reports them. A sweep result carries
+// its table losslessly in JSON; CSV renders the means at fixed precision.
 type Table struct {
 	ID       string   `json:"id"`             // "fig3a", "fig7", "table1", ...
 	Title    string   `json:"title"`          // one-line description
@@ -105,51 +102,6 @@ func (t *Table) CSV() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// JSON renders the table as indented JSON, preserving the full cell
-// grid (means and CVs) exactly.
-func (t *Table) JSON() ([]byte, error) {
-	return json.MarshalIndent(t, "", "  ")
-}
-
-// ParseTableJSON parses JSON produced by Table.JSON back into a Table.
-func ParseTableJSON(data []byte) (*Table, error) {
-	var t Table
-	if err := json.Unmarshal(data, &t); err != nil {
-		return nil, fmt.Errorf("exp: parsing table JSON: %w", err)
-	}
-	return &t, nil
-}
-
-// ParseTableCSV parses CSV produced by Table.CSV back into a Table. Only
-// what CSV carries comes back: row/column labels and cell means at the
-// emitter's three-decimal precision (CVs, title, and note are absent).
-func ParseTableCSV(data string) (*Table, error) {
-	lines := strings.Split(strings.TrimRight(data, "\n"), "\n")
-	if len(lines) < 1 || lines[0] == "" {
-		return nil, fmt.Errorf("exp: parsing table CSV: no header")
-	}
-	header := strings.Split(lines[0], ",")
-	t := &Table{RowLabel: header[0], Cols: header[1:]}
-	for ln, line := range lines[1:] {
-		fields := strings.Split(line, ",")
-		if len(fields) != len(header) {
-			return nil, fmt.Errorf("exp: parsing table CSV: row %d has %d fields, want %d",
-				ln+1, len(fields), len(header))
-		}
-		t.Rows = append(t.Rows, fields[0])
-		cells := make([]Cell, len(t.Cols))
-		for j, f := range fields[1:] {
-			mean, err := strconv.ParseFloat(f, 64)
-			if err != nil {
-				return nil, fmt.Errorf("exp: parsing table CSV: row %d col %d: %w", ln+1, j+1, err)
-			}
-			cells[j] = Cell{Mean: mean}
-		}
-		t.Cells = append(t.Cells, cells)
-	}
-	return t, nil
 }
 
 // MaxCV returns the largest coefficient of variation in the table (the

@@ -14,7 +14,7 @@ func newDisks(t *testing.T, n int) []*disk.Disk {
 	t.Cleanup(e.Close)
 	out := make([]*disk.Disk, n)
 	for i := range out {
-		out[i] = disk.New(e, "d", disk.HP97560(), nil, nil)
+		out[i] = disk.New(e, "d", disk.HP97560(), nil)
 	}
 	return out
 }

@@ -89,7 +89,7 @@ func BenchmarkNewFileRandom(b *testing.B) {
 	defer e.Close()
 	disks := make([]*disk.Disk, 16)
 	for i := range disks {
-		disks[i] = disk.New(e, "d", disk.HP97560(), nil, nil)
+		disks[i] = disk.New(e, "d", disk.HP97560(), nil)
 	}
 	rng := sim.NewRand(11)
 	b.ResetTimer()

@@ -15,8 +15,7 @@ import (
 // hardware ceiling as a dashed reference line — the SVG counterpart of
 // the row-per-value tables Figures 5–8 print. Two-axis sweeps render as
 // response-surface heatmaps instead (SweepHeatmap), and pattern-axis
-// sweeps as the grouped bars of Figures 3–4 (TableBars), the same SVG
-// FigureSVG draws for their tables.
+// sweeps as the grouped bars of Figures 3–4 (TableBars).
 func SweepFigure(res *exp.SweepResult) string {
 	switch {
 	case res.Spec.Axis == exp.AxisPattern:
@@ -24,7 +23,7 @@ func SweepFigure(res *exp.SweepResult) string {
 	case res.Spec.Axis2 != "":
 		return SweepHeatmap(res)
 	}
-	return TableLines(res.Table, sweepSubtitle(res))
+	return tableLines(res.Table, sweepSubtitle(res))
 }
 
 // sweepSubtitle builds the shared sweep-figure subtitle: spec name, the
@@ -153,19 +152,16 @@ func sweepLatencyFigure(res *exp.SweepResult) string {
 	return c.SVG()
 }
 
-// TableLines renders a sweep-shaped table (numeric axis values as rows,
+// tableLines renders a sweep-shaped table (numeric axis values as rows,
 // method×pattern columns, optional trailing max-bw ceiling) as a line
-// figure. SweepFigure wraps it when the spec is at hand.
-func TableLines(t *exp.Table, subtitle string) string {
+// figure.
+func tableLines(t *exp.Table, subtitle string) string {
 	c := &LineChart{
 		Title:      fmt.Sprintf("%s — %s", t.ID, t.Title),
 		Subtitle:   subtitle,
 		XLabel:     t.RowLabel,
 		YLabel:     "throughput (MB/s)",
 		Categories: t.Rows,
-	}
-	if subtitle == "" && t.Note != "" {
-		c.Subtitle = t.Note
 	}
 	for ci, col := range t.Cols {
 		se := XYSeries{Label: col}
@@ -179,16 +175,6 @@ func TableLines(t *exp.Table, subtitle string) string {
 		c.Series = append(c.Series, se)
 	}
 	return c.SVG()
-}
-
-// FigureSVG renders a table in its natural figure form: grouped bars
-// for the pattern grids (Figures 3–4, row label "pattern"), a line
-// figure for the numeric-axis machine-shape sweeps (Figures 5–8).
-func FigureSVG(t *exp.Table) string {
-	if t.RowLabel == "pattern" {
-		return TableBars(t)
-	}
-	return TableLines(t, "")
 }
 
 // TableBars renders a pattern-grid table (Figures 3–4: rows are access

@@ -128,9 +128,7 @@ func TestSweepFigureShape(t *testing.T) {
 // TestTableBarsShape: the bars adapter drops the max-bw column and
 // draws groups × series bars.
 func TestTableBarsShape(t *testing.T) {
-	res := sampleSweep()
-	res.Table.RowLabel = "pattern" // force the bars form through FigureSVG
-	svg := FigureSVG(res.Table)
+	svg := TableBars(sampleSweep().Table)
 	if !strings.Contains(svg, "<rect ") {
 		t.Fatal("no bars drawn")
 	}
@@ -144,7 +142,7 @@ func TestTableBarsShape(t *testing.T) {
 }
 
 // TestSweepFigurePatternAxis: a pattern-axis sweep renders as the
-// grouped bars of Figures 3–4, byte-identical to FigureSVG of its table.
+// grouped bars of Figures 3–4, byte-identical to TableBars of its table.
 func TestSweepFigurePatternAxis(t *testing.T) {
 	res := &exp.SweepResult{
 		Spec: &exp.SweepSpec{Name: "grid", ID: "figG", Title: "pattern grid (sample)",
@@ -155,8 +153,8 @@ func TestSweepFigurePatternAxis(t *testing.T) {
 			Cells: [][]exp.Cell{{{Mean: 20}, {Mean: 33}}, {{Mean: 9}, {Mean: 32}}, {{Mean: 2}, {Mean: 32}}}},
 	}
 	svg := SweepFigure(res)
-	if svg != FigureSVG(res.Table) {
-		t.Fatal("pattern-axis sweep figure differs from the table's FigureSVG")
+	if svg != TableBars(res.Table) {
+		t.Fatal("pattern-axis sweep figure differs from the table's TableBars")
 	}
 	if got := strings.Count(svg, "<title>"); got != 6 { // 3 groups × 2 series
 		t.Fatalf("bar tooltip count = %d, want 6", got)

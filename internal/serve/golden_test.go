@@ -2,12 +2,12 @@ package serve
 
 // golden_test.go pins the serving layer's headline promise with the real
 // simulator: POST /v1/sweeps for the degrade-smoke, fig5-paper,
-// fig4b-paper and wl-smoke presets returns bytes identical to the cmd/figures artifacts for the
-// same spec and options — text table to its stdout, JSON/CSV/SVG to its
-// -json/-csv/-plot files — on the cold path AND on the cache-hit path.
-// The expected bytes are built here exactly the way cmd/figures builds
-// them (same library calls, same format strings), so a drift in either
-// the serving pipeline or the render formats fails this test.
+// fig4b-paper and wl-smoke presets returns, in every format of the
+// artifact table (plot.Artifacts), the bytes cmd/figures writes for the
+// same spec and options — on the cold path AND on the cache-hit path.
+// The expected bytes come from a sweep run here with the CLI's options
+// and rendered by the same table, so a drift in the serving pipeline
+// fails this test.
 
 import (
 	"encoding/json"
@@ -24,7 +24,7 @@ func TestServedSweepsMatchFiguresArtifacts(t *testing.T) {
 	presets := []struct {
 		name    string
 		body    string
-		degrade bool // has a faults template, so timesvg exists
+		timeFig bool // a degradation or workload sweep, so timesvg exists
 		shared  int  // cells an earlier preset already cached
 	}{
 		// degrade-smoke carries its own trials/filemb overrides; the
@@ -40,7 +40,7 @@ func TestServedSweepsMatchFiguresArtifacts(t *testing.T) {
 		{"fig4b-paper", `{"preset":"fig4b-paper","trials":1,"filemb":1}`, false, 8},
 		// wl-smoke drives the workload layer (skewed open-arrival
 		// streams, swept over the wlrate axis) through the live handler.
-		{"wl-smoke", `{"preset":"wl-smoke"}`, false, 0},
+		{"wl-smoke", `{"preset":"wl-smoke"}`, true, 0},
 	}
 
 	s := New(Config{QueueDepth: 4, Concurrency: 1})
@@ -60,41 +60,41 @@ func TestServedSweepsMatchFiguresArtifacts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantJSON, err := res.JSON()
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := map[string]string{
-				// printTable in cmd/figures: Println(Format) + Printf(max cv).
-				"text": res.Table.Format() + "\n" + fmt.Sprintf("max cv %.3f\n\n", res.Table.MaxCV()),
-				"json": string(wantJSON),      // <name>.json
-				"csv":  res.LongCSV(),         // <name>-long.csv
-				"svg":  plot.SweepFigure(res), // <name>.svg
+			want := map[string]string{}
+			for _, a := range plot.Artifacts {
+				data, err := a.Render(res)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if data != nil {
+					want[a.Format] = string(data)
+				}
 			}
 			// <name>-time.svg exists for degradation sweeps (completion
 			// time) and workload sweeps (request-latency percentiles).
-			if svg := plot.SweepTimeFigure(res); svg != "" {
-				want["timesvg"] = svg
-			} else if p.degrade {
-				t.Fatal("degradation sweep produced no time figure")
-			}
-			if p.name == "wl-smoke" && want["timesvg"] == "" {
-				t.Fatal("workload sweep produced no latency figure")
+			if _, ok := want["timesvg"]; ok != p.timeFig {
+				t.Fatalf("time figure present: %v", ok)
 			}
 
 			cold := true
-			for _, format := range []string{"text", "json", "csv", "svg", "timesvg"} {
-				wantBody, ok := want[format]
+			for _, a := range plot.Artifacts {
+				rr := do(t, s, "POST", "/v1/sweeps?format="+a.Format, p.body)
+				wantBody, ok := want[a.Format]
 				if !ok {
+					if rr.Code != http.StatusUnprocessableEntity {
+						t.Fatalf("%s: status %d for a sweep without the view", a.Format, rr.Code)
+					}
 					continue
 				}
-				rr := do(t, s, "POST", "/v1/sweeps?format="+format, p.body)
 				if rr.Code != http.StatusOK {
-					t.Fatalf("%s: status %d: %s", format, rr.Code, rr.Body.String())
+					t.Fatalf("%s: status %d: %s", a.Format, rr.Code, rr.Body.String())
+				}
+				if ct := rr.Header().Get("Content-Type"); ct != a.MIME {
+					t.Fatalf("%s: content type %q, want %q", a.Format, ct, a.MIME)
 				}
 				if rr.Body.String() != wantBody {
 					t.Fatalf("%s: served bytes differ from the figures artifact\nserved %d bytes, want %d",
-						format, rr.Body.Len(), len(wantBody))
+						a.Format, rr.Body.Len(), len(wantBody))
 				}
 				hits, cells := rr.Header().Get("X-Cache-Hits"), rr.Header().Get("X-Cells")
 				if want := fmt.Sprint(p.shared); cold && hits != want {

@@ -21,6 +21,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -249,47 +250,9 @@ func (s *Server) cachedRunCell(hits *atomic.Int64) func(exp.Config) (*exp.Result
 	}
 }
 
-// sweepFormats are the response renderings of POST /v1/sweeps. Each is
-// byte-identical to a cmd/figures artifact for the same spec and options.
-var sweepFormats = map[string]bool{
-	"text": true, "json": true, "csv": true, "tablecsv": true,
-	"svg": true, "timesvg": true,
-}
-
-// renderSweep renders an executed sweep in the requested format.
-func renderSweep(res *exp.SweepResult, format string) (body []byte, contentType string, err error) {
-	switch format {
-	case "text":
-		// Byte-identical to the figures CLI's stdout for one sweep:
-		// the formatted table, a blank line, and the max-cv line.
-		t := res.Table
-		return []byte(t.Format() + "\n" + fmt.Sprintf("max cv %.3f\n\n", t.MaxCV())),
-			"text/plain; charset=utf-8", nil
-	case "json":
-		// == the CLI's <spec>.json artifact.
-		b, err := res.JSON()
-		return b, "application/json", err
-	case "csv":
-		// == the CLI's <spec>-long.csv artifact (tidy long format).
-		return []byte(res.LongCSV()), "text/csv; charset=utf-8", nil
-	case "tablecsv":
-		// == the CLI's <table-id>.csv artifact (wide per-table format).
-		return []byte(res.Table.CSV()), "text/csv; charset=utf-8", nil
-	case "svg":
-		// == the CLI's <spec>.svg artifact.
-		return []byte(plot.SweepFigure(res)), "image/svg+xml", nil
-	case "timesvg":
-		// == the CLI's <spec>-time.svg artifact: completion time for a
-		// degradation sweep, request-latency percentiles for a workload
-		// sweep.
-		svg := plot.SweepTimeFigure(res)
-		if svg == "" {
-			return nil, "", fmt.Errorf("serve: format timesvg needs a degradation sweep (a faults template) or a workload sweep")
-		}
-		return []byte(svg), "image/svg+xml", nil
-	}
-	return nil, "", fmt.Errorf("serve: unknown format %q", format)
-}
+// errNoTimeFigure answers a timesvg request for a sweep that has no
+// time-domain view.
+var errNoTimeFigure = errors.New("serve: format timesvg needs a degradation sweep (a faults template) or a workload sweep")
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -321,7 +284,8 @@ func (s *Server) handleSweeps(w http.ResponseWriter, r *http.Request) {
 	if format == "" {
 		format = "text"
 	}
-	if !sweepFormats[format] {
+	art, ok := plot.LookupArtifact(format)
+	if !ok {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("serve: unknown format %q", format))
 		return
 	}
@@ -331,8 +295,7 @@ func (s *Server) handleSweeps(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if format == "timesvg" && spec.Faults == nil && spec.Workload == nil {
-		httpError(w, http.StatusUnprocessableEntity,
-			fmt.Errorf("serve: format timesvg needs a degradation sweep (a faults template) or a workload sweep"))
+		httpError(w, http.StatusUnprocessableEntity, errNoTimeFigure)
 		return
 	}
 	opts := s.options(q)
@@ -378,7 +341,7 @@ func (s *Server) handleSweeps(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("async") != "" {
 		go func() {
 			defer s.release()
-			s.runSweep(j, spec, opts, format, len(cfgs))
+			s.runSweep(j, spec, opts, art, len(cfgs))
 		}()
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusAccepted)
@@ -388,15 +351,15 @@ func (s *Server) handleSweeps(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	s.runSweep(j, spec, opts, format, len(cfgs))
+	s.runSweep(j, spec, opts, art, len(cfgs))
 	s.release()
 	s.writeJobResult(w, j)
 }
 
 // runSweep executes one admitted sweep job: waits for a concurrency
 // slot, runs the sweep with the cache/singleflight cell hook, renders
-// the requested format, and finishes the job.
-func (s *Server) runSweep(j *job, spec *exp.SweepSpec, opts exp.Options, format string, cells int) {
+// the requested artifact, and finishes the job.
+func (s *Server) runSweep(j *job, spec *exp.SweepSpec, opts exp.Options, art *plot.Artifact, cells int) {
 	s.sem <- struct{}{}
 	defer func() { <-s.sem }()
 	s.active.Add(1)
@@ -410,8 +373,11 @@ func (s *Server) runSweep(j *job, spec *exp.SweepSpec, opts exp.Options, format 
 		j.finish(nil, "", cells, hits.Load(), err)
 		return
 	}
-	body, ctype, err := renderSweep(res, format)
-	j.finish(body, ctype, cells, hits.Load(), err)
+	body, err := art.Render(res)
+	if err == nil && body == nil {
+		err = errNoTimeFigure
+	}
+	j.finish(body, art.MIME, cells, hits.Load(), err)
 }
 
 // writeJobResult writes a finished job's body (sync path). Simulation

@@ -50,7 +50,7 @@ func newRig(t *testing.T, o rigOpts) *rig {
 		buses[i] = sim.NewPipe(e, fmt.Sprintf("bus%d", i), 10e6, 100*time.Microsecond)
 	}
 	for d := range disks {
-		disks[d] = disk.New(e, fmt.Sprintf("d%d", d), disk.HP97560(), buses[d%o.niop], nil)
+		disks[d] = disk.New(e, fmt.Sprintf("d%d", d), disk.HP97560(), buses[d%o.niop])
 	}
 	f, err := pfs.NewFile(disks, o.blockSize, o.blocks, o.layout, rng)
 	if err != nil {

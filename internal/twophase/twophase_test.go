@@ -33,7 +33,7 @@ func newRig(t *testing.T, ncp, niop, ndisks, blocks int, layout pfs.LayoutKind) 
 	}
 	disks := make([]*disk.Disk, ndisks)
 	for d := range disks {
-		disks[d] = disk.New(e, fmt.Sprintf("d%d", d), disk.HP97560(), buses[d%niop], nil)
+		disks[d] = disk.New(e, fmt.Sprintf("d%d", d), disk.HP97560(), buses[d%niop])
 	}
 	f, err := pfs.NewFile(disks, 8192, blocks, layout, rng)
 	if err != nil {
