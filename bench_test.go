@@ -107,10 +107,11 @@ func BenchmarkFig3b(b *testing.B) {
 
 // BenchmarkFig3bParallel: the BenchmarkFig3b grid fanned out on the
 // parallel runner (GOMAXPROCS workers). Compare against BenchmarkFig3b
-// for the end-to-end regeneration speedup on a multi-core machine; on
-// one core the two are equivalent. With two or more workers the runs
-// overlap and reuse each other's CP memory and disk pages (sim.GetSlab),
-// which CI guards with a B/op ceiling.
+// for the end-to-end regeneration speedup on a multi-core machine. The
+// runner holds the slab list for the whole sweep, so, unlike
+// BenchmarkFig3b's loop of lone runs, the runs reuse each other's CP
+// memory and disk pages (sim.GetSlab) with any worker count, which CI
+// guards with a B/op ceiling.
 func BenchmarkFig3bParallel(b *testing.B) {
 	var cfgs []ddio.Config
 	for _, pattern := range ddio.AllPatterns() {

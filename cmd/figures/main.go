@@ -72,7 +72,7 @@ func main() {
 	traceRuns := flag.Bool("trace", false, "run one traced Figure-3a-style transfer per file system; write timeline SVGs + JSONL traces")
 	out := flag.String("out", "", "directory for CSV/JSON/SVG output (default: current)")
 	faultsArg := flag.String("faults", "", "fault plan for every run: inline JSON or a plan file (sweep specs with their own faults template take precedence)")
-	workloadArg := flag.String("workload", "", "workload for every run: inline JSON spec, a spec file, or a .csv block trace (sweep specs with their own workload template take precedence)")
+	workloadArg := flag.String("workload", "", "workload for every run: inline JSON spec, a spec file, or a .csv block trace (sweep specs with their own workload template take precedence; specs that vary the pattern reject it)")
 	flag.Parse()
 
 	if *listSweeps {

@@ -32,8 +32,9 @@ type Options struct {
 	Faults *fault.Plan
 	// Workload, when non-nil, is the request-stream spec every run
 	// executes instead of the classic whole-file transfer (see
-	// Config.Workload). Sweep specs with their own Workload template
-	// override it.
+	// Config.Workload). It reaches the runs as the sweep's workload
+	// template (SweepSpec.Resolve); sweep specs with their own template
+	// override it, and specs that vary the pattern reject it.
 	Workload *workload.Spec
 	// RunCell, when non-nil, replaces the per-cell execution function
 	// (default: Run) on the runner these options build — the serving
@@ -53,7 +54,6 @@ func (o Options) base() Config {
 	cfg.Seed = o.Seed
 	cfg.Verify = o.Verify
 	cfg.Faults = o.Faults
-	cfg.Workload = o.Workload
 	return cfg
 }
 

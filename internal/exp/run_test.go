@@ -300,3 +300,83 @@ func TestSweepReusesRunMemory(t *testing.T) {
 		}
 	}
 }
+
+// TestRunAllHoldsRunMemory: a sweep holds the slab list across its
+// cells, so with one worker, where each cell's engine is the only one
+// open, the second of two identical cells still reuses the first one's
+// run memory and returns the same Result. Once RunAll returns nothing
+// is held: the next lone run allocates like a cold one.
+func TestRunAllHoldsRunMemory(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Pattern, cfg.FileBytes, cfg.RecordSize = "rb", MiB, 8192
+	var alloc []uint64
+	measured := func(c Config) (*Result, error) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := Run(c)
+		runtime.ReadMemStats(&after)
+		alloc = append(alloc, after.TotalAlloc-before.TotalAlloc)
+		return res, err
+	}
+	r := NewRunner(1, nil)
+	r.SetRunFunc(measured)
+	results, err := r.RunAll([]Config{cfg, cfg}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(results[0], results[1]) {
+		t.Fatalf("cell with reused memory differs:\nfirst  %+v\nsecond %+v", results[0], results[1])
+	}
+	if _, err := measured(cfg); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("allocated %d bytes, then %d in the sweep, then %d after it", alloc[0], alloc[1], alloc[2])
+	if alloc[1] > alloc[0]/2 {
+		t.Errorf("second cell allocated %d bytes, more than half the first's %d: the sweep kept no run memory",
+			alloc[1], alloc[0])
+	}
+	if alloc[2] <= alloc[0]/2 {
+		t.Errorf("a run after the sweep allocated only %d bytes of a cold run's %d: the sweep left run memory held",
+			alloc[2], alloc[0])
+	}
+}
+
+// TestRandomLayoutWarmRunEqualsCold: a random-layout run whose placement
+// comes from the memo, after a warm-up run with the same seed, returns
+// the Result of the cold run that built it, traced or not.
+func TestRandomLayoutWarmRunEqualsCold(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Method, cfg.Pattern, cfg.Layout = DiskDirectedSort, "rb", pfs.RandomBlocks
+	cfg.FileBytes, cfg.RecordSize = MiB/2, 8192
+	cfg.Seed = 271828 // no other test's seed, so the first run misses
+	cold, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(warm, cold) {
+		t.Fatalf("warm run differs from the cold one:\nwarm %+v\ncold %+v", warm, cold)
+	}
+
+	cfg.Seed = 314159
+	jsonl := func() (*Result, string) {
+		res, rec, err := TracedRun(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		if err := rec.WriteJSONL(&b); err != nil {
+			t.Fatal(err)
+		}
+		res.Config.Trace = nil
+		return res, b.String()
+	}
+	coldRes, coldTrace := jsonl()
+	warmRes, warmTrace := jsonl()
+	if !reflect.DeepEqual(warmRes, coldRes) || warmTrace != coldTrace {
+		t.Fatal("warm traced run differs from the cold one")
+	}
+}

@@ -6,6 +6,8 @@ import (
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
+
+	"ddio/internal/sim"
 )
 
 // CellPanicError records a sweep cell whose simulation panicked. The
@@ -100,8 +102,12 @@ func (r *Runner) progressLocked(format string, args ...any) {
 // last onDone for a group fires, all of that group's result slots are
 // visible. On failure RunAll reports the lowest-indexed error that was
 // observed; when several configs fail, which one was observed first
-// can vary with scheduling.
+// can vary with scheduling. While it runs, RunAll holds the slab list
+// (sim.HoldSlabs), so each cell reuses the run memory earlier cells
+// released, whatever the worker count.
 func (r *Runner) RunAll(cfgs []Config, onDone func(i int, res *Result)) ([]*Result, error) {
+	sim.HoldSlabs()
+	defer sim.ReleaseSlabs()
 	results := make([]*Result, len(cfgs))
 	errs := make([]error, len(cfgs))
 	workers := min(max(r.workers, 1), len(cfgs))

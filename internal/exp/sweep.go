@@ -252,6 +252,12 @@ func (s *SweepSpec) Validate() error {
 		if err := s.Workload.Validate(nil); err != nil {
 			return fmt.Errorf("exp: sweep %q: %w", s.Name, err)
 		}
+		// A workload replaces the pattern in every cell, so columns or
+		// rows that vary the pattern would only repeat one number.
+		if s.Axis == AxisPattern || len(s.Patterns) > 1 {
+			return &SpecError{Spec: s.Name, Field: "workload",
+				Msg: "a workload replaces the pattern; the spec must not vary it (one pattern, not the pattern axis)"}
+		}
 	}
 	// The wlrate axis re-rates open-arrival phases; without one there is
 	// nothing to sweep.
@@ -307,6 +313,23 @@ func (s *SweepSpec) TableID() string {
 		return s.ID
 	}
 	return s.Name
+}
+
+// Resolve returns the validated spec a sweep under o runs. It folds
+// o.Workload in as the workload template when the spec has none of its
+// own, on a copy, so the spec's Workload is the only way a workload
+// reaches the cells; Validate then rejects it on a spec that varies the
+// pattern.
+func (s *SweepSpec) Resolve(o Options) (*SweepSpec, error) {
+	if o.Workload != nil && s.Workload == nil {
+		c := *s
+		c.Workload = o.Workload
+		s = &c
+	}
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
 // options applies the spec's own Trials/FileMB overrides to the caller's
@@ -425,14 +448,15 @@ func (s *SweepSpec) rowLabel() string {
 	return axisInfo[s.Axis].rowLabel + "×" + axisInfo[s.Axis2].rowLabel
 }
 
-// Expand validates the spec and expands it against the options into the
-// table skeleton (rows, columns, hardware-ceiling cells) and the flat
-// (cell × trial) config grid, in the exact order the original figure
-// generators produced: rows outermost, then methods, patterns, trials.
-// Expansion is pure — no simulation runs — so tests can pin the grid a
-// spec denotes without paying for the runs.
+// Expand resolves the spec against the options (see Resolve) and
+// expands it into the table skeleton (rows, columns, hardware-ceiling
+// cells) and the flat (cell × trial) config grid, in the exact order the
+// original figure generators produced: rows outermost, then methods,
+// patterns, trials. Expansion is pure — no simulation runs — so tests
+// can pin the grid a spec denotes without paying for the runs.
 func (s *SweepSpec) Expand(o Options) (*Table, []Config, error) {
-	if err := s.Validate(); err != nil {
+	s, err := s.Resolve(o)
+	if err != nil {
 		return nil, nil, err
 	}
 	o = s.options(o)
@@ -510,6 +534,10 @@ func (r *SweepResult) JSON() ([]byte, error) {
 // (pinned by the golden expansion test): the config grid, seed
 // derivation, and aggregation order are exactly theirs.
 func (s *SweepSpec) RunFull(o Options) (*SweepResult, error) {
+	s, err := s.Resolve(o)
+	if err != nil {
+		return nil, err
+	}
 	t, cfgs, err := s.Expand(o)
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -223,6 +224,45 @@ func TestWLRateAxis(t *testing.T) {
 		Layout: "random-blocks", Methods: []string{"ddio"}, Patterns: []string{"rb"},
 	}).Validate(); err == nil {
 		t.Error("wlrate axis without a workload template accepted")
+	}
+}
+
+// TestOptionsWorkloadFoldsIntoSpec: an options workload reaches a sweep
+// only as its workload template. On a one-pattern spec the sweep then
+// reports request latency like any workload sweep, the spec's own
+// template keeps precedence, and a spec whose rows or columns vary the
+// pattern is rejected by name instead of repeating one number per row.
+func TestOptionsWorkloadFoldsIntoSpec(t *testing.T) {
+	o := Options{Trials: 1, FileBytes: MiB, Seed: 42, Verify: true, Workload: skewSpec()}
+	for _, name := range []string{"fig5-paper", "fig3b-paper"} {
+		spec, _ := LookupPreset(name)
+		_, err := spec.RunFull(o)
+		var specErr *SpecError
+		if !errors.As(err, &specErr) || specErr.Spec != name || specErr.Field != "workload" {
+			t.Errorf("%s with a workload: error %v, want a *SpecError naming the spec's workload", name, err)
+		}
+	}
+
+	spec, _ := LookupPreset("surface-smoke")
+	res, err := spec.RunFull(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Spec.Workload != o.Workload || res.Table.Latency == nil {
+		t.Fatalf("options workload not folded into the spec: spec workload %v, latency %v",
+			res.Spec.Workload, res.Table.Latency)
+	}
+	if spec.Workload != nil {
+		t.Fatal("Resolve wrote the workload into the caller's spec")
+	}
+
+	own, _ := LookupPreset("wl-smoke")
+	got, err := own.Resolve(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != own {
+		t.Fatal("a spec with its own workload template did not keep it")
 	}
 }
 

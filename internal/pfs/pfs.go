@@ -7,6 +7,7 @@ package pfs
 
 import (
 	"fmt"
+	"sync"
 
 	"ddio/internal/disk"
 	"ddio/internal/sim"
@@ -60,7 +61,9 @@ type File struct {
 
 // NewFile creates a file of numBlocks blocks of blockSize bytes striped
 // over the given disks with the requested layout. rng seeds the
-// random-blocks placement (one independent stream per disk).
+// random-blocks placement (one independent stream per disk); only its
+// seed is read, so a placement is a function of the seed and the
+// geometry, and is built once per process for each (see layouts).
 func NewFile(disks []*disk.Disk, blockSize, numBlocks int, layout LayoutKind, rng *sim.Rand) (*File, error) {
 	if len(disks) == 0 {
 		return nil, fmt.Errorf("pfs: file needs at least one disk")
@@ -74,35 +77,90 @@ func NewFile(disks []*disk.Disk, blockSize, numBlocks int, layout LayoutKind, rn
 		NumBlocks:       numBlocks,
 		Disks:           disks,
 		sectorsPerBlock: int64(blockSize / spec.SectorSize),
-		placement:       make([]int64, numBlocks),
 	}
 	slotsPerDisk := spec.TotalSectors() / f.sectorsPerBlock
-	for d := range disks {
-		nLocal := f.blocksOnDisk(d)
-		if int64(nLocal) > slotsPerDisk {
-			return nil, fmt.Errorf("pfs: %d blocks exceed disk capacity of %d slots", nLocal, slotsPerDisk)
+	if nLocal := f.blocksOnDisk(0); int64(nLocal) > slotsPerDisk { // disk 0 holds the most
+		return nil, fmt.Errorf("pfs: %d blocks exceed disk capacity of %d slots", nLocal, slotsPerDisk)
+	}
+	switch layout {
+	case Contiguous:
+		f.placement = make([]int64, numBlocks)
+		for b := range f.placement {
+			f.placement[b] = int64(b/len(disks)) * f.sectorsPerBlock
 		}
-		var slots []int64
-		switch layout {
-		case Contiguous:
-			slots = make([]int64, nLocal)
-			for i := range slots {
-				slots[i] = int64(i)
-			}
-		case RandomBlocks:
-			r := rng.Stream(fmt.Sprintf("layout:disk%d", d))
-			slots = sampleSlots(r, slotsPerDisk, nLocal)
-		default:
-			return nil, fmt.Errorf("pfs: unknown layout %v", layout)
+	case RandomBlocks:
+		key := layoutKey{rng.Seed(), len(disks), numBlocks, f.sectorsPerBlock, slotsPerDisk}
+		if f.placement = layouts.get(key); f.placement == nil {
+			f.placement = f.randomPlacement(rng, slotsPerDisk)
+			layouts.put(key, f.placement)
 		}
-		i := 0
-		for b := d; b < numBlocks; b += len(disks) {
-			f.placement[b] = slots[i] * f.sectorsPerBlock
-			i++
-		}
+	default:
+		return nil, fmt.Errorf("pfs: unknown layout %v", layout)
 	}
 	ensureImage(f.Size())
 	return f, nil
+}
+
+// randomPlacement draws the random-blocks placement: each disk's file
+// blocks go to distinct slots sampled from that disk's own stream.
+func (f *File) randomPlacement(rng *sim.Rand, slotsPerDisk int64) []int64 {
+	p := make([]int64, f.NumBlocks)
+	for d := range f.Disks {
+		slots := sampleSlots(rng.Stream(fmt.Sprintf("layout:disk%d", d)), slotsPerDisk, f.blocksOnDisk(d))
+		for i, s := range slots {
+			p[d+i*len(f.Disks)] = s * f.sectorsPerBlock
+		}
+	}
+	return p
+}
+
+// layoutKey is everything a random-blocks placement depends on: the run
+// seed and the geometry it is drawn for.
+type layoutKey struct {
+	seed            int64
+	disks, blocks   int
+	sectorsPerBlock int64
+	slotsPerDisk    int64
+}
+
+// layoutMemoSize bounds the placement memo. Every cell of one trial of a
+// sweep shares its seed and geometry, so a sweep needs one entry per
+// trial seed in flight (five at the paper's five trials), plus the next
+// row's while workers straddle a change of disk count.
+const layoutMemoSize = 16
+
+// layoutMemo keeps the most recently built random-blocks placements,
+// replacing the oldest entry first. A stored placement is shared by
+// every File built with its key and is never written after NewFile, so
+// concurrent runs may read one entry at once.
+type layoutMemo struct {
+	mu         sync.Mutex
+	next       int // entry the next put replaces
+	keys       [layoutMemoSize]layoutKey
+	placements [layoutMemoSize][]int64
+}
+
+// layouts is the process's one placement memo.
+var layouts = new(layoutMemo)
+
+// get returns the placement stored under k, or nil.
+func (m *layoutMemo) get(k layoutKey) []int64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for i, p := range m.placements {
+		if p != nil && m.keys[i] == k {
+			return p
+		}
+	}
+	return nil
+}
+
+// put stores placement p under k in place of the oldest entry.
+func (m *layoutMemo) put(k layoutKey, p []int64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.keys[m.next], m.placements[m.next] = k, p
+	m.next = (m.next + 1) % layoutMemoSize
 }
 
 // blocksOnDisk returns how many file blocks live on disk d.

@@ -10,13 +10,7 @@ import (
 
 func newDisks(t *testing.T, n int) []*disk.Disk {
 	t.Helper()
-	e := sim.NewEngine()
-	t.Cleanup(e.Close)
-	out := make([]*disk.Disk, n)
-	for i := range out {
-		out[i] = disk.New(e, "d", disk.HP97560(), nil)
-	}
-	return out
+	return disksOf(t, n, disk.HP97560())
 }
 
 func TestStripingRoundRobin(t *testing.T) {

@@ -2,15 +2,18 @@ package serve
 
 // golden_test.go pins the serving layer's headline promise with the real
 // simulator: POST /v1/sweeps for the degrade-smoke, fig5-paper,
-// fig4b-paper and wl-smoke presets returns, in every format of the
-// artifact table (plot.Artifacts), the bytes cmd/figures writes for the
-// same spec and options — on the cold path AND on the cache-hit path.
+// fig4b-paper and wl-smoke presets, and for surface-smoke with a
+// request workload, returns, in every format of the artifact table
+// (plot.Artifacts), the bytes cmd/figures writes for the same spec and
+// options — on the cold path AND on the cache-hit path. A workload on
+// fig5-paper, which varies the pattern, is rejected by both alike.
 // The expected bytes come from a sweep run here with the CLI's options
 // and rendered by the same table, so a drift in the serving pipeline
 // fails this test.
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strings"
@@ -18,29 +21,40 @@ import (
 
 	"ddio/internal/exp"
 	"ddio/internal/plot"
+	"ddio/internal/workload"
 )
 
 func TestServedSweepsMatchFiguresArtifacts(t *testing.T) {
+	// wl is the -workload argument of the two cases that pass one.
+	const wl = `{"phases":[{"pattern":"uniform","requests":64,"read_fraction":1,` +
+		`"record_size":8192,"arrival":"poisson","rate_per_sec":1000}]}`
 	presets := []struct {
-		name    string
-		body    string
-		timeFig bool // a degradation or workload sweep, so timesvg exists
-		shared  int  // cells an earlier preset already cached
+		name     string
+		body     string
+		timeFig  bool   // a degradation or workload sweep, so timesvg exists
+		shared   int    // cells an earlier preset already cached
+		workload string // the -workload argument, if any
 	}{
 		// degrade-smoke carries its own trials/filemb overrides; the
 		// request options mirror the figures CLI flag defaults.
-		{"degrade-smoke", `{"preset":"degrade-smoke"}`, true, 0},
+		{"degrade-smoke", `{"preset":"degrade-smoke"}`, true, 0, ""},
 		// fig5-paper at -trials 1 -filemb 1 keeps the paper figure's
 		// full grid while staying cheap.
-		{"fig5-paper", `{"preset":"fig5-paper","trials":1,"filemb":1}`, false, 0},
+		{"fig5-paper", `{"preset":"fig5-paper","trials":1,"filemb":1}`, false, 0, ""},
 		// fig4b-paper is a pattern-axis grid (Figure 4b): the daemon
 		// serves a paper pattern figure like any other sweep. Its ra,
 		// rn, rb and rc rows are fig5-paper's 16-CP row, so those 8
 		// cells are already cached.
-		{"fig4b-paper", `{"preset":"fig4b-paper","trials":1,"filemb":1}`, false, 8},
+		{"fig4b-paper", `{"preset":"fig4b-paper","trials":1,"filemb":1}`, false, 8, ""},
 		// wl-smoke drives the workload layer (skewed open-arrival
 		// streams, swept over the wlrate axis) through the live handler.
-		{"wl-smoke", `{"preset":"wl-smoke"}`, true, 0},
+		{"wl-smoke", `{"preset":"wl-smoke"}`, true, 0, ""},
+		// A workload on a one-pattern spec becomes its workload
+		// template: the sweep reports latency and has a time figure.
+		{"surface-smoke", `{"preset":"surface-smoke","workload":` + wl + `}`, true, 0, wl},
+		// On a spec that varies the pattern a workload would repeat one
+		// number per pattern: both sides reject it, naming the spec.
+		{"fig5-paper", `{"preset":"fig5-paper","trials":1,"filemb":1,"workload":` + wl + `}`, false, 0, wl},
 	}
 
 	s := New(Config{QueueDepth: 4, Concurrency: 1})
@@ -51,12 +65,33 @@ func TestServedSweepsMatchFiguresArtifacts(t *testing.T) {
 				t.Fatalf("preset %q missing", p.name)
 			}
 			// The options cmd/figures would build for
-			//   figures -sweep <name> [-trials 1 -filemb 1]
+			//   figures -sweep <name> [-trials 1 -filemb 1] [-workload <wl>]
 			opts := exp.Options{Trials: 5, FileBytes: 10 * exp.MiB, Seed: 42, Verify: true}
 			if strings.HasSuffix(p.name, "-paper") {
 				opts.Trials, opts.FileBytes = 1, exp.MiB
 			}
+			if p.workload != "" {
+				wl, err := workload.Parse([]byte(p.workload))
+				if err != nil {
+					t.Fatal(err)
+				}
+				opts.Workload = wl
+			}
 			res, err := spec.RunFull(opts)
+			var specErr *exp.SpecError
+			if errors.As(err, &specErr) {
+				if specErr.Spec != p.name {
+					t.Fatalf("figures rejects the sweep without naming it: %v", err)
+				}
+				for _, a := range plot.Artifacts {
+					rr := do(t, s, "POST", "/v1/sweeps?format="+a.Format, p.body)
+					if rr.Code != http.StatusBadRequest || !strings.Contains(rr.Body.String(), err.Error()) {
+						t.Fatalf("%s: daemon answered %d %q; figures rejects it with %q",
+							a.Format, rr.Code, rr.Body.String(), err)
+					}
+				}
+				return
+			}
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -47,9 +47,10 @@ type SweepRequest struct {
 	// Faults is a fault plan applied to every run (-faults); a spec with
 	// its own Faults template takes precedence, mirroring the CLI.
 	Faults *fault.Plan `json:"faults,omitempty"`
-	// Workload is a request-stream spec applied to every run (-workload);
-	// a spec with its own Workload template takes precedence, mirroring
-	// the CLI.
+	// Workload is a request-stream spec applied to every run (-workload)
+	// as the sweep's workload template (exp.SweepSpec.Resolve); a spec
+	// with its own template takes precedence and a spec that varies the
+	// pattern rejects it, mirroring the CLI.
 	Workload *workload.Spec `json:"workload,omitempty"`
 }
 

@@ -294,11 +294,15 @@ func (s *Server) handleSweeps(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
+	opts := s.options(q)
+	if spec, err = spec.Resolve(opts); err != nil {
+		httpError(w, http.StatusBadRequest, err)
+		return
+	}
 	if format == "timesvg" && spec.Faults == nil && spec.Workload == nil {
 		httpError(w, http.StatusUnprocessableEntity, errNoTimeFigure)
 		return
 	}
-	opts := s.options(q)
 	// Size the request BEFORE expanding it: the (value × method ×
 	// pattern × trial) product is known from the spec alone, and
 	// checking it first keeps a hostile "trials": 1e9 body from

@@ -93,7 +93,7 @@ type Engine struct {
 // events. The engine counts as open, keeping released slabs (see
 // slab.go) for reuse, until Close.
 func NewEngine() *Engine {
-	slabs.open()
+	slabs.count(1, 0)
 	return &Engine{}
 }
 
@@ -258,7 +258,7 @@ func (e *Engine) NumBlocked() int {
 // ones, in creation order, and discards pending events. It is safe to
 // call multiple times. After Close the engine rejects new events and new
 // procs. Close must not be called from inside the simulation. Closing
-// the last open engine empties the slab list.
+// an engine that was the slab list's last holder empties the list.
 func (e *Engine) Close() {
 	if e.closed {
 		return
@@ -269,7 +269,7 @@ func (e *Engine) Close() {
 		e.kill(p)
 	}
 	e.all, e.free = nil, nil
-	slabs.close()
+	slabs.count(-1, 0)
 }
 
 // kill unwinds one proc's body on its carrier and returns the carrier to

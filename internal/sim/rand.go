@@ -19,6 +19,10 @@ func NewRand(seed int64) *Rand {
 	return &Rand{Rand: rand.New(rand.NewSource(seed)), seed: seed}
 }
 
+// Seed returns the seed the source was created with. Draws do not
+// change it, and Stream derives from it alone.
+func (r *Rand) Seed() int64 { return r.seed }
+
 // Stream derives an independent sub-stream identified by label. The
 // derivation hashes (seed, label), so streams are stable across runs and
 // insensitive to the order in which other streams are used.

@@ -18,10 +18,13 @@ import (
 //   - when a release would exceed the cap it drops the largest slabs
 //     first, so a few wide cells (whole-file copies per CP) cannot
 //     crowd out the small slabs most cells reuse;
-//   - it is emptied when the last open Engine closes, so an idle
-//     process keeps nothing, and a slab released while no engine is
-//     open is dropped. A sequential loop of lone runs therefore reuses
-//     nothing: each run's engine is the last one open when it closes.
+//   - it is emptied when its last holder lets go, so an idle process
+//     keeps nothing, and a slab released while nothing holds it is
+//     dropped. Holders are open Engines and running sweeps (HoldSlabs):
+//     a sweep keeps the list across its cells even when, with one
+//     worker, each cell's engine is the only one open. Outside a sweep
+//     a sequential loop of lone runs reuses nothing: each run's engine
+//     is the last holder when it closes.
 //
 // Slabs are bucketed by capacity: bucket k holds slabs whose capacity
 // is in [2^k, 2^(k+1)). GetSlab(n) takes the top slab of n's own bucket
@@ -40,6 +43,7 @@ const slabCap = 8 << 20
 type slabList struct {
 	mu      sync.Mutex
 	engines int // engines created and not yet closed
+	sweeps  int // HoldSlabs calls not yet released
 	bytes   int // capacity retained in free
 	free    [bits.UintSize][][]byte
 }
@@ -52,9 +56,18 @@ var slabs = new(slabList)
 func GetSlab(n int) []byte { return slabs.get(n) }
 
 // PutSlab releases b for reuse by a later GetSlab. The caller must hold
-// no other reference to b. Slabs released while no engine is open, and
-// slabs larger than the cap, are dropped.
+// no other reference to b. Slabs released while nothing holds the list,
+// and slabs larger than the cap, are dropped.
 func PutSlab(b []byte) { slabs.put(b) }
+
+// HoldSlabs makes the caller a holder of the slab list, exactly as an
+// open Engine is, until the matching ReleaseSlabs: a sweep holds it so
+// that every cell can reuse what the cells before it released.
+func HoldSlabs() { slabs.count(0, 1) }
+
+// ReleaseSlabs ends one HoldSlabs; the list empties if that was its last
+// holder.
+func ReleaseSlabs() { slabs.count(0, -1) }
 
 func (l *slabList) get(n int) []byte {
 	if n <= 0 {
@@ -89,7 +102,7 @@ func (l *slabList) put(b []byte) {
 	k := bits.Len(uint(c)) - 1 // 2^k <= c < 2^(k+1)
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.engines == 0 {
+	if l.engines+l.sweeps == 0 {
 		return
 	}
 	for l.bytes+c > slabCap {
@@ -109,19 +122,14 @@ func (l *slabList) put(b []byte) {
 	l.bytes += c
 }
 
-// open counts a new engine.
-func (l *slabList) open() {
-	l.mu.Lock()
-	l.engines++
-	l.mu.Unlock()
-}
-
-// close uncounts a closed engine and empties the list when it was the
-// last one open.
-func (l *slabList) close() {
+// count adds to the open engines and the running sweeps, and empties
+// the list when neither is left.
+func (l *slabList) count(engines, sweeps int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.engines--; l.engines == 0 {
+	l.engines += engines
+	l.sweeps += sweeps
+	if l.engines+l.sweeps == 0 {
 		clear(l.free[:])
 		l.bytes = 0
 	}

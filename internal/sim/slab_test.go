@@ -162,3 +162,36 @@ func TestSlabsConcurrent(t *testing.T) {
 	wg.Wait()
 	retained(t, l)
 }
+
+// TestSweepHoldsSlabsBetweenEngines: a HoldSlabs holder keeps the list
+// while no engine is open, so a lone engine's releases reach the next
+// engine; the list empties when the last holder of either kind lets go.
+func TestSweepHoldsSlabsBetweenEngines(t *testing.T) {
+	l := isolateSlabs(t)
+	HoldSlabs()
+	e := NewEngine()
+	b := GetSlab(8 << 10)
+	PutSlab(b)
+	e.Close()
+	if l.bytes != 8<<10 {
+		t.Fatalf("list holds %d bytes with a sweep holding it, want %d", l.bytes, 8<<10)
+	}
+	e = NewEngine()
+	if c := GetSlab(8 << 10); &c[0] != &b[0] {
+		t.Fatal("the next engine did not reuse the slab the last one released")
+	}
+	PutSlab(b)
+	ReleaseSlabs() // the engine still holds the list
+	if l.bytes != 8<<10 {
+		t.Fatalf("list holds %d bytes with an engine open, want %d", l.bytes, 8<<10)
+	}
+	e.Close()
+	if got := retained(t, l); l.bytes != 0 || len(got) != 0 {
+		t.Fatalf("list holds %d bytes %v after its last holder let go", l.bytes, got)
+	}
+	PutSlab(make([]byte, 8<<10))
+	if l.bytes != 0 || l.engines != 0 || l.sweeps != 0 {
+		t.Fatalf("nothing holds the list: it holds %d bytes, counts %d engines and %d sweeps",
+			l.bytes, l.engines, l.sweeps)
+	}
+}

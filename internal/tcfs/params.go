@@ -18,9 +18,13 @@ import (
 
 // Params are the traditional-caching software costs and policy knobs.
 // The CPU costs are calibrated to 1994-era file-system software on a
-// 50 MHz RISC processor; they reproduce the paper's relative results
-// (e.g. ~100 µs of IOP time per request making 8-byte cyclic patterns
-// roughly 10× slower than the disks could go).
+// 50 MHz RISC processor; they reproduce the paper's relative results.
+// With 130 µs of IOP CPU per request (dispatch, thread, cache access,
+// reply), 8-byte cyclic patterns run far below the disks: at paper
+// scale, TC rbc with 8-byte records on the contiguous layout moves
+// 0.28 MB/s (seed 1; 0.31 at seed 42) of the Table 1 machine's 34.8 MB/s
+// disk ceiling, 110–124× slower (`ddiosim -method tc -pattern rbc
+// -layout contiguous -record 8 -filemb 10`).
 type Params struct {
 	// CP-side costs.
 	RequestSendCPU time.Duration // build + send one request
