@@ -381,3 +381,43 @@ func TestFaultPlanSweepSpecRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestOptionsFaultsFoldIntoSpec: a plan given as Options.Faults (figures
+// -faults, the daemon's request faults) becomes the sweep's fault-plan
+// template, so the result records it and times every cell exactly as
+// the spec's own template would; the caller's spec is left alone, and a
+// spec with its own template keeps it.
+func TestOptionsFaultsFoldIntoSpec(t *testing.T) {
+	plan := &fault.Plan{DiskErrorRate: 0.02, RetryLimit: 4, Stragglers: 1, StragglerSlowdown: 2}
+	o := Options{Trials: 1, FileBytes: MiB, Seed: 42, Verify: true, Faults: plan}
+	spec, _ := LookupPreset("surface-smoke")
+	res, err := spec.RunFull(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Spec.Faults != plan || res.CellTime == nil {
+		t.Fatalf("options plan not folded into the spec: spec faults %v, cell time %v",
+			res.Spec.Faults, res.CellTime)
+	}
+	if spec.Faults != nil {
+		t.Fatal("Resolve wrote the plan into the caller's spec")
+	}
+	own := *spec
+	own.Faults = plan
+	want, err := own.RunFull(Options{Trials: 1, FileBytes: MiB, Seed: 42, Verify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Table, want.Table) || !reflect.DeepEqual(res.CellTime, want.CellTime) {
+		t.Fatal("options plan and spec template give different results")
+	}
+
+	deg, _ := LookupPreset("degrade-smoke")
+	got, err := deg.Resolve(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != deg {
+		t.Fatal("a spec with its own fault template did not keep it")
+	}
+}

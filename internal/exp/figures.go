@@ -27,7 +27,8 @@ type Options struct {
 	// report) out of table order.
 	Progress func(string)
 	// Faults, when non-nil, is the fault plan injected into every run
-	// (see Config.Faults). Sweep specs with their own Faults template
+	// (see Config.Faults). It reaches the runs as the sweep's fault-plan
+	// template (SweepSpec.Resolve); sweep specs with their own template
 	// override it.
 	Faults *fault.Plan
 	// Workload, when non-nil, is the request-stream spec every run
@@ -53,7 +54,6 @@ func (o Options) base() Config {
 	cfg.FileBytes = o.FileBytes
 	cfg.Seed = o.Seed
 	cfg.Verify = o.Verify
-	cfg.Faults = o.Faults
 	return cfg
 }
 

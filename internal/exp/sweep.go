@@ -316,14 +316,21 @@ func (s *SweepSpec) TableID() string {
 }
 
 // Resolve returns the validated spec a sweep under o runs. It folds
-// o.Workload in as the workload template when the spec has none of its
-// own, on a copy, so the spec's Workload is the only way a workload
-// reaches the cells; Validate then rejects it on a spec that varies the
-// pattern.
+// o.Faults and o.Workload in as the fault-plan and workload templates
+// where the spec has none of its own, on a copy, so the spec's templates
+// are the only way a plan or a workload reaches the cells, and the
+// result records them (faults, cell_time, the time figure) as it would
+// the spec's own. Validate then rejects a workload on a spec that
+// varies the pattern.
 func (s *SweepSpec) Resolve(o Options) (*SweepSpec, error) {
-	if o.Workload != nil && s.Workload == nil {
+	if (o.Faults != nil && s.Faults == nil) || (o.Workload != nil && s.Workload == nil) {
 		c := *s
-		c.Workload = o.Workload
+		if c.Faults == nil {
+			c.Faults = o.Faults
+		}
+		if c.Workload == nil {
+			c.Workload = o.Workload
+		}
 		s = &c
 	}
 	if err := s.Validate(); err != nil {

@@ -3,7 +3,7 @@ package serve
 // golden_test.go pins the serving layer's headline promise with the real
 // simulator: POST /v1/sweeps for the degrade-smoke, fig5-paper,
 // fig4b-paper and wl-smoke presets, and for surface-smoke with a
-// request workload, returns, in every format of the artifact table
+// request workload or fault plan, returns, in every format of the artifact table
 // (plot.Artifacts), the bytes cmd/figures writes for the same spec and
 // options — on the cold path AND on the cache-hit path. A workload on
 // fig5-paper, which varies the pattern, is rejected by both alike.
@@ -20,6 +20,7 @@ import (
 	"testing"
 
 	"ddio/internal/exp"
+	"ddio/internal/fault"
 	"ddio/internal/plot"
 	"ddio/internal/workload"
 )
@@ -28,33 +29,40 @@ func TestServedSweepsMatchFiguresArtifacts(t *testing.T) {
 	// wl is the -workload argument of the two cases that pass one.
 	const wl = `{"phases":[{"pattern":"uniform","requests":64,"read_fraction":1,` +
 		`"record_size":8192,"arrival":"poisson","rate_per_sec":1000}]}`
+	// plan is the -faults argument of the case that passes one.
+	const plan = `{"disk_error_rate":0.02,"retry_limit":4,"stragglers":1,"straggler_slowdown":2}`
 	presets := []struct {
 		name     string
 		body     string
 		timeFig  bool   // a degradation or workload sweep, so timesvg exists
 		shared   int    // cells an earlier preset already cached
 		workload string // the -workload argument, if any
+		faults   string // the -faults argument, if any
 	}{
 		// degrade-smoke carries its own trials/filemb overrides; the
 		// request options mirror the figures CLI flag defaults.
-		{"degrade-smoke", `{"preset":"degrade-smoke"}`, true, 0, ""},
+		{"degrade-smoke", `{"preset":"degrade-smoke"}`, true, 0, "", ""},
 		// fig5-paper at -trials 1 -filemb 1 keeps the paper figure's
 		// full grid while staying cheap.
-		{"fig5-paper", `{"preset":"fig5-paper","trials":1,"filemb":1}`, false, 0, ""},
+		{"fig5-paper", `{"preset":"fig5-paper","trials":1,"filemb":1}`, false, 0, "", ""},
 		// fig4b-paper is a pattern-axis grid (Figure 4b): the daemon
 		// serves a paper pattern figure like any other sweep. Its ra,
 		// rn, rb and rc rows are fig5-paper's 16-CP row, so those 8
 		// cells are already cached.
-		{"fig4b-paper", `{"preset":"fig4b-paper","trials":1,"filemb":1}`, false, 8, ""},
+		{"fig4b-paper", `{"preset":"fig4b-paper","trials":1,"filemb":1}`, false, 8, "", ""},
 		// wl-smoke drives the workload layer (skewed open-arrival
 		// streams, swept over the wlrate axis) through the live handler.
-		{"wl-smoke", `{"preset":"wl-smoke"}`, true, 0, ""},
+		{"wl-smoke", `{"preset":"wl-smoke"}`, true, 0, "", ""},
 		// A workload on a one-pattern spec becomes its workload
 		// template: the sweep reports latency and has a time figure.
-		{"surface-smoke", `{"preset":"surface-smoke","workload":` + wl + `}`, true, 0, wl},
+		{"surface-smoke", `{"preset":"surface-smoke","workload":` + wl + `}`, true, 0, wl, ""},
 		// On a spec that varies the pattern a workload would repeat one
 		// number per pattern: both sides reject it, naming the spec.
-		{"fig5-paper", `{"preset":"fig5-paper","trials":1,"filemb":1,"workload":` + wl + `}`, false, 0, wl},
+		{"fig5-paper", `{"preset":"fig5-paper","trials":1,"filemb":1,"workload":` + wl + `}`, false, 0, wl, ""},
+		// A fault plan becomes the spec's fault-plan template the same
+		// way: the sweep records it, times its cells and has a time
+		// figure, byte for byte as with the plan in the spec itself.
+		{"surface-smoke", `{"preset":"surface-smoke","faults":` + plan + `}`, true, 0, "", plan},
 	}
 
 	s := New(Config{QueueDepth: 4, Concurrency: 1})
@@ -76,6 +84,13 @@ func TestServedSweepsMatchFiguresArtifacts(t *testing.T) {
 					t.Fatal(err)
 				}
 				opts.Workload = wl
+			}
+			if p.faults != "" {
+				pl, err := fault.ResolvePlan(p.faults)
+				if err != nil {
+					t.Fatal(err)
+				}
+				opts.Faults = pl
 			}
 			res, err := spec.RunFull(opts)
 			var specErr *exp.SpecError
@@ -109,6 +124,24 @@ func TestServedSweepsMatchFiguresArtifacts(t *testing.T) {
 			// time) and workload sweeps (request-latency percentiles).
 			if _, ok := want["timesvg"]; ok != p.timeFig {
 				t.Fatalf("time figure present: %v", ok)
+			}
+			if p.faults != "" {
+				// The same plan as the spec's own template.
+				own := *spec
+				own.Faults, opts.Faults = opts.Faults, nil
+				tmpl, err := own.RunFull(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, a := range plot.Artifacts {
+					data, err := a.Render(tmpl)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if string(data) != want[a.Format] {
+						t.Fatalf("%s: -faults and the spec's own template give different bytes", a.Format)
+					}
+				}
 			}
 
 			cold := true

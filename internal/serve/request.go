@@ -44,8 +44,9 @@ type SweepRequest struct {
 	Seed *int64 `json:"seed,omitempty"`
 	// Verify toggles end-to-end data verification (-verify; default on).
 	Verify *bool `json:"verify,omitempty"`
-	// Faults is a fault plan applied to every run (-faults); a spec with
-	// its own Faults template takes precedence, mirroring the CLI.
+	// Faults is a fault plan applied to every run (-faults) as the
+	// sweep's fault-plan template (exp.SweepSpec.Resolve); a spec with
+	// its own template takes precedence, mirroring the CLI.
 	Faults *fault.Plan `json:"faults,omitempty"`
 	// Workload is a request-stream spec applied to every run (-workload)
 	// as the sweep's workload template (exp.SweepSpec.Resolve); a spec

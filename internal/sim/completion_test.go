@@ -50,7 +50,7 @@ func TestZeroCompletionIsIgnored(t *testing.T) {
 	e := NewEngine()
 	defer e.Close()
 	e.AtCompletion(0, Completion{})
-	if len(e.queue) != 0 {
+	if e.queue.len() != 0 {
 		t.Fatalf("zero completion queued an event")
 	}
 	var c Completion

@@ -160,7 +160,7 @@ func (e *Engine) Run() { e.run(math.MaxInt64) }
 // clock at min(t, time of last event). Events after t remain queued.
 func (e *Engine) RunUntil(t Time) {
 	e.run(t)
-	if e.now < t && len(e.queue) == 0 {
+	if e.now < t && e.queue.len() == 0 {
 		e.now = t
 	}
 }
@@ -192,8 +192,11 @@ func (e *Engine) run(until Time) {
 // target's incarnation (a recycled proc or pooled record) mismatches the
 // target's generation inside Complete and fires as a harmless no-op.
 func (e *Engine) loop() *Proc {
-	for len(e.queue) > 0 && e.queue[0].t <= e.until {
-		ev := e.queue.pop()
+	for {
+		ev, ok := e.queue.pop(e.until)
+		if !ok {
+			return nil
+		}
 		e.now = ev.t
 		e.events++
 		ev.c.Target.Complete(ev.c, ev.t)
@@ -203,7 +206,6 @@ func (e *Engine) loop() *Proc {
 			return p
 		}
 	}
-	return nil
 }
 
 // dispatch marks p as the next owner of the execution token. It must only
@@ -264,7 +266,7 @@ func (e *Engine) Close() {
 		return
 	}
 	e.closed = true
-	e.queue = nil
+	e.queue.release()
 	for _, p := range e.all {
 		e.kill(p)
 	}

@@ -18,8 +18,8 @@ func TestEngineStartsAtZero(t *testing.T) {
 	if e.Now() != 0 {
 		t.Fatalf("new engine at %v, want 0", e.Now())
 	}
-	if len(e.queue) != 0 {
-		t.Fatalf("new engine has %d pending events", len(e.queue))
+	if e.queue.len() != 0 {
+		t.Fatalf("new engine has %d pending events", e.queue.len())
 	}
 }
 
@@ -104,8 +104,8 @@ func TestRunUntilStopsEarly(t *testing.T) {
 	if len(fired) != 2 {
 		t.Fatalf("RunUntil(25) fired %v", fired)
 	}
-	if len(e.queue) != 2 {
-		t.Fatalf("RunUntil left %d pending, want 2", len(e.queue))
+	if e.queue.len() != 2 {
+		t.Fatalf("RunUntil left %d pending, want 2", e.queue.len())
 	}
 	e.Run()
 	if len(fired) != 4 {
