@@ -199,7 +199,10 @@ func TestPartialBlockWriteRMW(t *testing.T) {
 	if r.totalMetrics().PartialBlockRMW == 0 {
 		t.Fatal("no RMW for partially covered block")
 	}
-	r.verifyWrite(t) // both written and preserved bytes must match image
+	// The RMW writes block 1 back whole, so the whole file is written;
+	// the uncovered tail must still hold the preloaded image.
+	r.verifyWrite(t)
+	r.verifyPreloaded(t, 12288, r.f.Size()-12288)
 }
 
 func TestBlockIterHandsOutEachBlockOnce(t *testing.T) {

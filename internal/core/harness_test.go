@@ -114,8 +114,31 @@ func (r *rig) verifyRead(t *testing.T, dec *hpf.Decomp) {
 
 func (r *rig) verifyWrite(t *testing.T) {
 	t.Helper()
-	if i := r.f.VerifyRange(0, r.f.Size(), make([]byte, r.f.BlockSize)); i >= 0 {
-		t.Fatalf("file mismatch at offset %d", i)
+	r.verifyWritten(t, 0, r.f.Size())
+}
+
+// verifyWritten checks that file range [off, off+n) was written with
+// the image.
+func (r *rig) verifyWritten(t *testing.T, off, n int64) {
+	t.Helper()
+	if i := r.f.VerifyRange(off, n, make([]byte, r.f.BlockSize)); i >= 0 {
+		t.Fatalf("written range [%d, %d): mismatch at offset %d", off, off+n, i)
+	}
+}
+
+// verifyPreloaded checks that file range [off, off+n), which the run
+// did not write, still reads back from the disks as the preloaded image.
+func (r *rig) verifyPreloaded(t *testing.T, off, n int64) {
+	t.Helper()
+	bs := int64(r.f.BlockSize)
+	buf := make([]byte, bs)
+	for end := off + n; off < end; off = (off/bs + 1) * bs {
+		b := int(off / bs)
+		r.f.Disks[r.f.DiskOf(b)].ReadData(r.f.LBN(b), buf)
+		lo, hi := off%bs, min(end-int64(b)*bs, bs)
+		if i := pfs.VerifyImage(buf[lo:hi], off); i >= 0 {
+			t.Fatalf("preloaded range [%d, %d): mismatch at offset %d", off, end, off+int64(i))
+		}
 	}
 }
 

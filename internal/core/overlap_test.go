@@ -69,5 +69,6 @@ func TestOverlappingWriteSlotsKeepRMW(t *testing.T) {
 	if got := r.totalMetrics().PartialBlockRMW; got != 1 {
 		t.Fatalf("PartialBlockRMW = %d, want 1 (overlap must not fake full coverage)", got)
 	}
-	r.verifyWrite(t)
+	r.verifyWritten(t, 0, 6000)
+	r.verifyPreloaded(t, 6000, r.f.Size()-6000) // block 0's tail survived; block 1 was never written
 }

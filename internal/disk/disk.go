@@ -18,8 +18,8 @@ var ErrTransient = errors.New("disk: transient request failure")
 
 // Request is one I/O command issued to a disk. Data belongs to the
 // caller and must hold Count*SectorSize bytes: a read fills it at
-// completion, a write's bytes are copied into the drive's store when
-// the drive serves it (so Data must stay unchanged until OnDone).
+// completion, a write's bytes go to the drive's store when the drive
+// serves it (so Data must stay unchanged until OnDone).
 // OnDone, if set, is invoked when the drive reports completion — for
 // writes this is when the data is accepted into the drive's write-behind
 // buffer, matching an "immediate report" drive; use Flush to wait for
@@ -66,13 +66,15 @@ type Disk struct {
 	cache *racache
 	wb    wcache
 
-	curCyl int64
-	queue  []*Request
-	queued *sim.Cond
-	m      Metrics
-	pages  map[int64][]byte  // stored bytes by page index (see storage.go)
-	rec    *trace.Recorder   // event tracing, nil when disabled
-	faults *fault.DiskFaults // fault injection, nil when disabled
+	curCyl  int64
+	queue   []*Request
+	queued  *sim.Cond
+	m       Metrics
+	pages   map[int64][]byte  // stored bytes by page index, nil until the first (see storage.go)
+	backing Backing           // what unstored sectors hold, nil for zeros
+	unit    int               // the disk's index in its backing
+	rec     *trace.Recorder   // event tracing, nil when disabled
+	faults  *fault.DiskFaults // fault injection, nil when disabled
 }
 
 // New creates a disk and starts its server process on the engine. bus is
@@ -84,13 +86,12 @@ type Disk struct {
 // nil to model a drive with an uncontended, infinitely fast channel.
 func New(e *sim.Engine, name string, spec *Spec, bus *sim.Pipe) *Disk {
 	d := &Disk{
-		Name:  name,
-		Spec:  spec,
-		eng:   e,
-		bus:   bus,
-		g:     newGeom(spec),
-		pages: make(map[int64][]byte),
-		rec:   e.Recorder(),
+		Name: name,
+		Spec: spec,
+		eng:  e,
+		bus:  bus,
+		g:    newGeom(spec),
+		rec:  e.Recorder(),
 	}
 	d.rec.RegisterDisk(name)
 	d.cache = newRACache(d.g)

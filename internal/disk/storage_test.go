@@ -140,3 +140,36 @@ func TestReleaseDataHandsPagesOnZeroed(t *testing.T) {
 		t.Fatal("a reused page leaked the previous disk's bytes")
 	}
 }
+
+// fakeBacking reads every unstored sector as v and calls every write
+// the image.
+type fakeBacking struct{ v byte }
+
+func (b fakeBacking) Fill(_ int, _ int64, dst []byte) {
+	for i := range dst {
+		dst[i] = b.v
+	}
+}
+func (fakeBacking) Stamp(int, int64, []byte) bool { return true }
+
+// TestReleaseDataDropsBacking: a backed disk stores nothing for writes
+// its backing accepts and reads the backing elsewhere; ReleaseData
+// drops the backing, so the disk reads zeros again.
+func TestReleaseDataDropsBacking(t *testing.T) {
+	_, d := newTestDisk(t, HP97560())
+	d.SetBacking(fakeBacking{0xEE}, 0)
+	d.WriteData(0, fill(16*512, 0x11))
+	got := fill(2*512, 0)
+	d.ReadData(7, got)
+	if len(d.pages) != 0 || !bytes.Equal(got, fill(2*512, 0xEE)) {
+		t.Fatalf("backed disk stored %d pages or ignored its backing", len(d.pages))
+	}
+	d.ReleaseData()
+	if d.backing != nil {
+		t.Fatal("ReleaseData kept the backing")
+	}
+	d.ReadData(7, got)
+	if !bytes.Equal(got, make([]byte, 2*512)) {
+		t.Fatal("released disk still reads its backing")
+	}
+}

@@ -308,7 +308,11 @@ func buildFileSystem(cfg *Config, mc *machine) (*fileSystem, error) {
 // the selected file-system method. All workload randomness comes from
 // dedicated "wl:*" sub-streams of the run seed, so the substrate draws
 // are untouched and results are identical for any worker count.
-func Run(cfg Config) (*Result, error) {
+func Run(cfg Config) (*Result, error) { return run(cfg, nil) }
+
+// run is Run. inspect, if set, sees the machine of a completed run
+// before it closes.
+func run(cfg Config, inspect func(*machine)) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -438,6 +442,9 @@ func Run(cfg Config) (*Result, error) {
 	}
 	fs.collect(r)
 	mc.collectSubstrate(r)
+	if inspect != nil {
+		inspect(mc)
+	}
 	return r, nil
 }
 

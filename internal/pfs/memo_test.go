@@ -158,7 +158,9 @@ func TestLayoutMemoHitAllocatesOnlyTheFile(t *testing.T) {
 
 // TestLayoutMemoConcurrent: goroutines building files of mixed keys,
 // more keys than the memo holds, each get the uncached placement; run
-// under -race it checks the memo's locking.
+// under -race it checks the memo's locking. Each goroutine builds on
+// disks of its own, as each run does: NewFile installs the file in its
+// disks.
 func TestLayoutMemoConcurrent(t *testing.T) {
 	isolateLayouts(t)
 	var shapes []fileShape
@@ -172,6 +174,13 @@ func TestLayoutMemoConcurrent(t *testing.T) {
 	for i, s := range shapes {
 		want[i] = s.uncached(t)
 	}
+	var own [8]map[int][]*disk.Disk // each worker's disks, by count
+	for w := range own {
+		own[w] = map[int][]*disk.Disk{}
+		for _, n := range []int{2, 4, 16} {
+			own[w][n] = newDisks(t, n)
+		}
+	}
 	var wg sync.WaitGroup
 	for w := range 8 {
 		wg.Add(1)
@@ -180,7 +189,7 @@ func TestLayoutMemoConcurrent(t *testing.T) {
 			for k := range 200 {
 				i := (w*7 + k*5) % len(shapes)
 				s := shapes[i]
-				f, err := NewFile(s.disks, s.blockSize, s.numBlocks, RandomBlocks, sim.NewRand(s.seed))
+				f, err := NewFile(own[w][len(s.disks)], s.blockSize, s.numBlocks, RandomBlocks, sim.NewRand(s.seed))
 				if err != nil {
 					t.Error(err)
 					return

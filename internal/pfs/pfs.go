@@ -7,6 +7,8 @@ package pfs
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 
 	"ddio/internal/disk"
@@ -49,14 +51,22 @@ func ParseLayout(s string) (LayoutKind, error) {
 	return 0, fmt.Errorf("pfs: unknown layout %q", s)
 }
 
-// File is a striped parallel file.
+// File is a striped parallel file. It backs the store of each of its
+// disks (disk.Backing): unstored sectors read from the file image, and
+// writes stamp the file sectors they reach, for VerifyRange.
 type File struct {
 	BlockSize int          // bytes per file block
 	NumBlocks int          // file length in blocks
 	Disks     []*disk.Disk // stripe set; block b lives on disk b mod len
 
 	sectorsPerBlock int64
-	placement       []int64 // file block -> starting sector on its disk
+	// placement maps a random-blocks file block to its starting sector
+	// on its disk, and bySlot is its inverse: for each disk in turn, that
+	// disk's slot<<32 | file block, ascending. Both are nil for the
+	// contiguous layout, where either way is arithmetic.
+	placement, bySlot []int64
+	preloaded         bool     // every unwritten file sector reads as the image
+	stamps            []uint64 // one bit per file sector, set when written; nil until the first write
 }
 
 // NewFile creates a file of numBlocks blocks of blockSize bytes striped
@@ -83,35 +93,46 @@ func NewFile(disks []*disk.Disk, blockSize, numBlocks int, layout LayoutKind, rn
 		return nil, fmt.Errorf("pfs: %d blocks exceed disk capacity of %d slots", nLocal, slotsPerDisk)
 	}
 	switch layout {
-	case Contiguous:
-		f.placement = make([]int64, numBlocks)
-		for b := range f.placement {
-			f.placement[b] = int64(b/len(disks)) * f.sectorsPerBlock
-		}
+	case Contiguous: // LBN and blockAt are arithmetic
 	case RandomBlocks:
-		key := layoutKey{rng.Seed(), len(disks), numBlocks, f.sectorsPerBlock, slotsPerDisk}
-		if f.placement = layouts.get(key); f.placement == nil {
-			f.placement = f.randomPlacement(rng, slotsPerDisk)
-			layouts.put(key, f.placement)
+		if slotsPerDisk > math.MaxInt32 || numBlocks > math.MaxUint32 { // bySlot packs both in 64 bits
+			return nil, fmt.Errorf("pfs: %d slots per disk or %d blocks too many for random-blocks", slotsPerDisk, numBlocks)
 		}
+		key := layoutKey{rng.Seed(), len(disks), numBlocks, f.sectorsPerBlock, slotsPerDisk}
+		lay := layouts.get(key)
+		if lay == nil {
+			lay = f.randomPlacement(rng, slotsPerDisk)
+			layouts.put(key, lay)
+		}
+		f.placement, f.bySlot = lay[:numBlocks:numBlocks], lay[numBlocks:]
 	default:
 		return nil, fmt.Errorf("pfs: unknown layout %v", layout)
 	}
 	ensureImage(f.Size())
+	for i, d := range disks {
+		d.SetBacking(f, i)
+	}
 	return f, nil
 }
 
 // randomPlacement draws the random-blocks placement: each disk's file
-// blocks go to distinct slots sampled from that disk's own stream.
+// blocks go to distinct slots sampled from that disk's own stream. It
+// returns the placement followed by its inverse (see File.bySlot), in
+// one allocation.
 func (f *File) randomPlacement(rng *sim.Rand, slotsPerDisk int64) []int64 {
-	p := make([]int64, f.NumBlocks)
+	lay := make([]int64, 2*f.NumBlocks)
+	p, bySlot := lay[:f.NumBlocks], lay[f.NumBlocks:]
 	for d := range f.Disks {
 		slots := sampleSlots(rng.Stream(fmt.Sprintf("layout:disk%d", d)), slotsPerDisk, f.blocksOnDisk(d))
+		own := bySlot[f.firstOnDisk(d):][:len(slots)]
 		for i, s := range slots {
-			p[d+i*len(f.Disks)] = s * f.sectorsPerBlock
+			b := d + i*len(f.Disks)
+			p[b] = s * f.sectorsPerBlock
+			own[i] = s<<32 | int64(b)
 		}
+		slices.Sort(own)
 	}
-	return p
+	return lay
 }
 
 // layoutKey is everything a random-blocks placement depends on: the run
@@ -130,9 +151,10 @@ type layoutKey struct {
 const layoutMemoSize = 16
 
 // layoutMemo keeps the most recently built random-blocks placements,
-// replacing the oldest entry first. A stored placement is shared by
-// every File built with its key and is never written after NewFile, so
-// concurrent runs may read one entry at once.
+// each followed by its inverse (randomPlacement), replacing the oldest
+// entry first. A stored entry is shared by every File built with its
+// key and is never written after NewFile, so concurrent runs may read
+// one entry at once.
 type layoutMemo struct {
 	mu         sync.Mutex
 	next       int // entry the next put replaces
@@ -172,6 +194,12 @@ func (f *File) blocksOnDisk(d int) int {
 	return n
 }
 
+// firstOnDisk returns how many file blocks live on the disks before d:
+// where disk d's entries start in bySlot.
+func (f *File) firstOnDisk(d int) int {
+	return d*(f.NumBlocks/len(f.Disks)) + min(d, f.NumBlocks%len(f.Disks))
+}
+
 // Size returns the file size in bytes.
 func (f *File) Size() int64 { return int64(f.NumBlocks) * int64(f.BlockSize) }
 
@@ -179,7 +207,28 @@ func (f *File) Size() int64 { return int64(f.NumBlocks) * int64(f.BlockSize) }
 func (f *File) DiskOf(b int) int { return b % len(f.Disks) }
 
 // LBN returns the starting sector of file block b on its disk.
-func (f *File) LBN(b int) int64 { return f.placement[b] }
+func (f *File) LBN(b int) int64 {
+	if f.placement == nil {
+		return int64(b/len(f.Disks)) * f.sectorsPerBlock
+	}
+	return f.placement[b]
+}
+
+// blockAt returns the file block in block slot slot of disk unit (the
+// one starting at sector slot*sectorsPerBlock), or -1 if none is there.
+func (f *File) blockAt(unit int, slot int64) int {
+	if f.bySlot == nil {
+		if b := slot*int64(len(f.Disks)) + int64(unit); slot >= 0 && b < int64(f.NumBlocks) {
+			return int(b)
+		}
+		return -1
+	}
+	own := f.bySlot[f.firstOnDisk(unit):][:f.blocksOnDisk(unit)]
+	if i, _ := slices.BinarySearch(own, slot<<32); i < len(own) && own[i]>>32 == slot {
+		return int(own[i] & math.MaxUint32)
+	}
+	return -1
+}
 
 // LocalBlocks returns the file blocks resident on disk d, in ascending
 // file order.
@@ -191,31 +240,87 @@ func (f *File) LocalBlocks(d int) []int {
 	return out
 }
 
-// Preload writes the deterministic file image to the disks directly,
-// without simulating any I/O time, to set up read experiments. Each
-// block is copied straight from the shared image prefix; only blocks
-// past it are hashed, into one block buffer.
-func (f *File) Preload() {
-	bs := int64(f.BlockSize)
-	var buf []byte
-	for b := 0; b < f.NumBlocks; b++ {
-		off := int64(b) * bs
-		img := covered(off, bs)
-		if img == nil {
-			if buf == nil {
-				buf = make([]byte, bs)
+// Preload puts the deterministic file image on the disks, without
+// simulating any I/O time, to set up read experiments. It moves no
+// bytes: it sets one flag, and from then on every file sector that no
+// write has stored a page for reads as the image. It stamps nothing, so
+// VerifyRange still requires every written range to have been written.
+func (f *File) Preload() { f.preloaded = true }
+
+// Fill is the disks' disk.Backing: it writes into dst what the sectors
+// from lbn on of disk unit hold while the disk stores no page for them.
+// That is the image for file sectors preloaded or written, and zeros
+// for unwritten ones and for sectors outside the file.
+func (f *File) Fill(unit int, lbn int64, dst []byte) {
+	ss := int64(f.BlockSize) / f.sectorsPerBlock
+	for len(dst) > 0 {
+		s := lbn % f.sectorsPerBlock
+		n := min(int64(len(dst)), (f.sectorsPerBlock-s)*ss)
+		b := f.blockAt(unit, lbn/f.sectorsPerBlock)
+		off := (int64(b)*f.sectorsPerBlock + s) * ss // file offset of dst[0]
+		switch {
+		case b < 0:
+			clear(dst[:n])
+		case f.preloaded:
+			FillImage(dst[:n], off)
+		default:
+			for k := int64(0); k < n; k += ss {
+				if f.stamped((off + k) / ss) {
+					FillImage(dst[k:k+ss], off+k)
+				} else {
+					clear(dst[k : k+ss])
+				}
 			}
-			img = buf
-			fillHash(img, off)
 		}
-		f.Disks[f.DiskOf(b)].WriteData(f.LBN(b), img)
+		dst, lbn = dst[n:], lbn+n/ss
 	}
 }
 
-// VerifyRange checks file range [off, off+n) as stored on the disks
-// against the image, without simulating any time. It reads the covered
-// sectors one block at a time into buf, which must hold one block, and
-// returns the file offset of the first bad byte, or -1.
+// Stamp is the disks' disk.Backing: it stamps every file sector of a
+// write of data at sector lbn of disk unit, and reports whether data is
+// the image with every sector in the file, so the disk need not store it.
+func (f *File) Stamp(unit int, lbn int64, data []byte) bool {
+	ss := int64(f.BlockSize) / f.sectorsPerBlock
+	same := true
+	for len(data) > 0 {
+		s := lbn % f.sectorsPerBlock
+		n := min(int64(len(data)), (f.sectorsPerBlock-s)*ss)
+		b := f.blockAt(unit, lbn/f.sectorsPerBlock)
+		off := (int64(b)*f.sectorsPerBlock + s) * ss // file offset of data[0]
+		if b < 0 {
+			same = false
+		} else {
+			f.stamp(off/ss, (off+n)/ss)
+			same = same && VerifyImage(data[:n], off) < 0
+		}
+		data, lbn = data[n:], lbn+n/ss
+	}
+	return same
+}
+
+// stamp marks file sectors [s0, s1) written, taking the bitmap on the
+// first write.
+func (f *File) stamp(s0, s1 int64) {
+	if f.stamps == nil {
+		f.stamps = make([]uint64, (int64(f.NumBlocks)*f.sectorsPerBlock+63)/64)
+	}
+	for s := s0; s < s1; s++ {
+		f.stamps[s>>6] |= 1 << (s & 63)
+	}
+}
+
+// stamped reports whether file sector s has been written.
+func (f *File) stamped(s int64) bool {
+	return f.stamps != nil && f.stamps[s>>6]&(1<<(s&63)) != 0
+}
+
+// VerifyRange checks file range [off, off+n) as written to the disks,
+// without simulating any time, and returns the file offset of the first
+// bad byte, or -1. Every sector of the range must have been written
+// (stamped): a preloaded image does not stand in for a lost write.
+// Bytes are compared only where a disk stores a page, since elsewhere
+// the stamped sectors hold the image. Stored sectors are read one block
+// at a time into buf, which must hold one block.
 func (f *File) VerifyRange(off, n int64, buf []byte) int64 {
 	bs := int64(f.BlockSize)
 	ss := bs / f.sectorsPerBlock
@@ -223,9 +328,21 @@ func (f *File) VerifyRange(off, n int64, buf []byte) int64 {
 		b := off / bs
 		lo, hi := off-b*bs, min(end-b*bs, bs)
 		s0, s1 := lo/ss, (hi+ss-1)/ss
-		f.Disks[f.DiskOf(int(b))].ReadData(f.LBN(int(b))+s0, buf[s0*ss:s1*ss])
-		if i := VerifyImage(buf[lo:hi], off); i >= 0 {
-			return off + int64(i)
+		bad := int64(-1)
+		for s := b*f.sectorsPerBlock + s0; s < b*f.sectorsPerBlock+s1; s++ {
+			if !f.stamped(s) {
+				bad = max(off, s*ss)
+				break
+			}
+		}
+		if d, lbn := f.Disks[f.DiskOf(int(b))], f.LBN(int(b)); d.Stored(lbn+s0, s1-s0) {
+			d.ReadData(lbn+s0, buf[s0*ss:s1*ss])
+			if i := VerifyImage(buf[lo:hi], off); i >= 0 && (bad < 0 || off+int64(i) < bad) {
+				bad = off + int64(i)
+			}
+		}
+		if bad >= 0 {
+			return bad
 		}
 		off = (b + 1) * bs
 	}

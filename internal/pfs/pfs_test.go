@@ -100,19 +100,63 @@ func TestLocalBlocksUnevenDivision(t *testing.T) {
 	}
 }
 
+// readBack checks file range [off, off+n) as the disks hold it against
+// the image, whether written or preloaded: it reads the covered sectors
+// one block at a time into buf, which must hold one block, and returns
+// the file offset of the first bad byte, or -1.
+func readBack(f *File, off, n int64, buf []byte) int64 {
+	bs := int64(f.BlockSize)
+	ss := bs / f.sectorsPerBlock
+	for end := off + n; off < end; {
+		b := off / bs
+		lo, hi := off-b*bs, min(end-b*bs, bs)
+		s0, s1 := lo/ss, (hi+ss-1)/ss
+		f.Disks[f.DiskOf(int(b))].ReadData(f.LBN(int(b))+s0, buf[s0*ss:s1*ss])
+		if i := VerifyImage(buf[lo:hi], off); i >= 0 {
+			return off + int64(i)
+		}
+		off = (b + 1) * bs
+	}
+	return -1
+}
+
+// storedPages returns the number of block slots for which f's disks
+// store a page (a page is one 8 KiB block in these tests).
+func storedPages(f *File) int {
+	n := 0
+	for _, d := range f.Disks {
+		for lbn := int64(0); lbn < d.Spec.TotalSectors(); lbn += f.sectorsPerBlock {
+			if d.Stored(lbn, f.sectorsPerBlock) {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// TestPreloadReadBackRoundTrip: a preloaded file reads back as the
+// image, whole and in unaligned sub-block ranges, without storing a
+// page; VerifyRange, which checks written ranges, reports the first
+// byte of each, since nothing wrote them.
 func TestPreloadReadBackRoundTrip(t *testing.T) {
 	disks := newDisks(t, 4)
 	f, _ := NewFile(disks, 8192, 20, RandomBlocks, sim.NewRand(5))
 	f.Preload()
 	buf := make([]byte, f.BlockSize)
-	if off := f.VerifyRange(0, f.Size(), buf); off >= 0 {
+	if off := readBack(f, 0, f.Size(), buf); off >= 0 {
 		t.Fatalf("image mismatch at offset %d", off)
 	}
 	// Unaligned sub-block ranges read back only their covered sectors.
 	for _, r := range [][2]int64{{1, 7}, {8190, 5}, {3*8192 + 513, 2 * 8192}, {f.Size() - 1, 1}} {
-		if off := f.VerifyRange(r[0], r[1], buf); off >= 0 {
+		if off := readBack(f, r[0], r[1], buf); off >= 0 {
 			t.Fatalf("range %v: image mismatch at offset %d", r, off)
 		}
+		if off := f.VerifyRange(r[0], r[1], buf); off != r[0] {
+			t.Fatalf("range %v never written: VerifyRange = %d, want %d", r, off, r[0])
+		}
+	}
+	if n := storedPages(f); n != 0 {
+		t.Fatalf("preload stored %d pages", n)
 	}
 }
 
