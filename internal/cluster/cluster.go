@@ -111,7 +111,7 @@ func (m *Machine) newNode(k Kind, index, netID int) *Node {
 		Index: index,
 		NetID: netID,
 		CPU:   sim.NewPipe(m.Eng, "cpu:"+name, 0, 0),
-		Mail:  sim.NewMailbox(m.Eng, "mail:"+name),
+		Mail:  sim.NewMailbox(m.Eng),
 	}
 }
 

@@ -76,7 +76,9 @@ func TestSendDeliversToMailboxAndChargesCPU(t *testing.T) {
 	e, m := newMachine(t, 2, 2)
 	src, dst := m.CPs[0], m.IOPs[0]
 	var got any
-	e.Go("recv", func(p *sim.Proc) { got = dst.Mail.Get(p) })
+	var recv sim.Completion
+	recv = sim.Callback(func(sim.Time) { got, _ = dst.Mail.Recv(recv) })
+	dst.Mail.Recv(recv)
 	m.Send(src, dst, 128, 10*time.Microsecond, "payload")
 	e.Run()
 	if got != "payload" {

@@ -30,6 +30,7 @@ type Server struct {
 	f    *pfs.File
 	prm  Params
 	m2   Metrics
+	req  *collReq // request being dispatched
 
 	localDisks                 []int           // global disk indices served by this IOP
 	retry                      disk.Retrier    // bounded-retry policy for every disk request
@@ -42,8 +43,8 @@ type Server struct {
 }
 
 // NewServer builds the disk-directed server for one IOP: a dispatcher
-// daemon that demultiplexes the mailbox and starts one worker thread per
-// collective request.
+// (the server as a completion target, see Complete) that takes requests
+// from the mailbox and starts one worker thread per collective request.
 func NewServer(m *cluster.Machine, node *cluster.Node, f *pfs.File, prm Params) *Server {
 	if prm.BuffersPerDisk < 1 {
 		prm.BuffersPerDisk = 1
@@ -67,27 +68,46 @@ func NewServer(m *cluster.Machine, node *cluster.Node, f *pfs.File, prm Params) 
 	s.deliveredName = "dd-delivered:" + node.String()
 	s.workersName = "dd-workers:" + node.String()
 	s.workName = "dd-work:" + node.String()
-	m.Eng.GoDaemon("dd-dispatch:"+node.String(), s.dispatch)
+	m.Eng.AtCompletion(m.Eng.Now(), s.token(dRecv))
 	return s
 }
 
 // Metrics returns a copy of the server's counters.
 func (s *Server) Metrics() Metrics { return s.m2 }
 
-func (s *Server) dispatch(p *sim.Proc) {
-	for {
-		msg := s.node.Mail.Get(p)
-		req, ok := msg.(*collReq)
-		if !ok {
-			panic(fmt.Sprintf("core: unexpected message %T", msg))
-		}
-		s.node.CPU.UseFor(p, s.prm.IOPStartCPU)
+// Dispatcher token kinds.
+const (
+	dRecv    uint8 = iota + 1 // a message may be waiting
+	dStarted                  // IOPStartCPU charged for req
+)
+
+func (s *Server) token(kind uint8) sim.Completion {
+	return sim.Completion{Target: s, Kind: kind}
+}
+
+// Complete runs the dispatcher: it takes each collective request from
+// the mailbox, charges IOPStartCPU, and starts a worker thread for it.
+func (s *Server) Complete(c sim.Completion, _ sim.Time) {
+	if c.Kind == dStarted {
+		req := s.req
+		s.req = nil
 		s.m.Eng.Go(s.workName, func(w *sim.Proc) {
 			start := w.Now()
 			s.serve(w, req)
 			s.rec.PoolBusy(s.workName, int64(start), int64(w.Now()))
 		})
 	}
+	msg, ok := s.node.Mail.Recv(s.token(dRecv))
+	if !ok {
+		return
+	}
+	req, ok := msg.(*collReq)
+	if !ok {
+		panic(fmt.Sprintf("core: unexpected message %T", msg))
+	}
+	s.req = req
+	_, end := s.node.CPU.ReserveFor(s.prm.IOPStartCPU)
+	s.m.Eng.AtCompletion(end, s.token(dStarted))
 }
 
 // serve executes one collective request end to end on this IOP.

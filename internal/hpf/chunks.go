@@ -22,7 +22,15 @@ func (d *Decomp) Chunks(cp int) []Chunk {
 	}
 	pr, pc := d.gridOf(cp)
 	localCols := int64(d.Cols.Count(pc))
-	var out []Chunk
+	// Each owned row gives one chunk per owned column run, except that
+	// whole owned rows merge with the next owned row when it is adjacent.
+	// Sizing the list once keeps the append below from regrowing it, the
+	// largest allocation of a small-record run.
+	n := d.Rows.Count(pr) * d.Cols.runCount(pc)
+	if localCols == int64(d.Cols.N) {
+		n = d.Rows.runCount(pr)
+	}
+	out := make([]Chunk, 0, n)
 	appendRun := func(fileOff, memOff, n int64) {
 		if len(out) > 0 {
 			last := &out[len(out)-1]
@@ -66,6 +74,15 @@ func forEachOwned(d Dim, p int, fn func(i int)) {
 			fn(i)
 		}
 	}
+}
+
+// runCount returns how many maximal runs of consecutive indices p owns:
+// the number of forEachOwnedRun's calls.
+func (d Dim) runCount(p int) int {
+	if d.Kind == Cyclic && d.P > 1 {
+		return d.Count(p)
+	}
+	return min(d.Count(p), 1)
 }
 
 // forEachOwnedRun calls fn for each maximal run of consecutive indices

@@ -176,3 +176,91 @@ func TestOwnerPanicsForAll(t *testing.T) {
 	}()
 	d.Owner(0)
 }
+
+// appendChunks is Chunks as it was before its list was sized up front:
+// it grows the list run by run, merging adjacent runs.
+func appendChunks(d *Decomp, cp int) []Chunk {
+	rec := int64(d.RecordSize)
+	if d.All {
+		return []Chunk{{FileOff: 0, MemOff: 0, Len: d.FileBytes()}}
+	}
+	if cp >= d.Rows.P*d.Cols.P || d.CPBytes(cp) == 0 {
+		return nil
+	}
+	pr, pc := d.gridOf(cp)
+	localCols := int64(d.Cols.Count(pc))
+	var out []Chunk
+	forEachOwned(d.Rows, pr, func(i int) {
+		li := int64(d.Rows.Local(i))
+		forEachOwnedRun(d.Cols, pc, func(j, runLen int) {
+			lj := int64(d.Cols.Local(j))
+			c := Chunk{
+				FileOff: (int64(i)*int64(d.Cols.N) + int64(j)) * rec,
+				MemOff:  (li*localCols + lj) * rec,
+				Len:     int64(runLen) * rec,
+			}
+			if k := len(out) - 1; k >= 0 && out[k].FileOff+out[k].Len == c.FileOff && out[k].MemOff+out[k].Len == c.MemOff {
+				out[k].Len += c.Len
+				return
+			}
+			out = append(out, c)
+		})
+	})
+	return out
+}
+
+// TestChunksSizedOnce: for every Figure-2 pattern, at both of the
+// paper's record sizes and a few CP counts, Chunks returns the same list
+// as growing it run by run would, in a list whose capacity is exactly
+// its length: it was sized once and never regrown.
+func TestChunksSizedOnce(t *testing.T) {
+	for _, name := range AllPatterns() {
+		pat, err := ParsePattern(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range []int{8, 8192} {
+			for _, ncp := range []int{1, 4, 16} {
+				d, err := pat.Decomp(1<<20, rec, ncp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for cp := 0; cp < ncp; cp++ {
+					got, want := d.Chunks(cp), appendChunks(d, cp)
+					if len(got) != len(want) || cap(got) != len(got) {
+						t.Fatalf("%s rec %d ncp %d cp%d: %d chunks (cap %d), want %d", name, rec, ncp, cp, len(got), cap(got), len(want))
+					}
+					for i := range got {
+						if got[i] != want[i] {
+							t.Fatalf("%s rec %d ncp %d cp%d chunk %d: %+v, want %+v", name, rec, ncp, cp, i, got[i], want[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestQuickChunksMatchGrownList: on arbitrary decompositions, including
+// ones whose cyclic column runs merge across rows, the sized list holds
+// the same chunks as the grown one and was never regrown.
+func TestQuickChunksMatchGrownList(t *testing.T) {
+	f := func(rows, cols, rk, ck, recSel, gridSel uint8) bool {
+		d := randomDecomp(rows, cols, rk, ck, recSel, gridSel)
+		for cp := 0; cp < d.NCP; cp++ {
+			got, want := d.Chunks(cp), appendChunks(d, cp)
+			if len(got) != len(want) {
+				return false
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}

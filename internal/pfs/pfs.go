@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strconv"
 	"sync"
 
 	"ddio/internal/disk"
@@ -118,14 +119,17 @@ func NewFile(disks []*disk.Disk, blockSize, numBlocks int, layout LayoutKind, rn
 // randomPlacement draws the random-blocks placement: each disk's file
 // blocks go to distinct slots sampled from that disk's own stream. It
 // returns the placement followed by its inverse (see File.bySlot), in
-// one allocation.
+// one allocation; the samples are drawn straight into the inverse's
+// entries for the disk, through one sampler map cleared between disks.
 func (f *File) randomPlacement(rng *sim.Rand, slotsPerDisk int64) []int64 {
 	lay := make([]int64, 2*f.NumBlocks)
 	p, bySlot := lay[:f.NumBlocks], lay[f.NumBlocks:]
+	displaced := make(map[int64]int64, f.blocksOnDisk(0)) // disk 0 holds the most
 	for d := range f.Disks {
-		slots := sampleSlots(rng.Stream(fmt.Sprintf("layout:disk%d", d)), slotsPerDisk, f.blocksOnDisk(d))
-		own := bySlot[f.firstOnDisk(d):][:len(slots)]
-		for i, s := range slots {
+		own := bySlot[f.firstOnDisk(d):][:f.blocksOnDisk(d)]
+		clear(displaced)
+		sampleSlots(rng.Stream("layout:disk"+strconv.Itoa(d)), slotsPerDisk, own, displaced)
+		for i, s := range own {
 			b := d + i*len(f.Disks)
 			p[b] = s * f.sectorsPerBlock
 			own[i] = s<<32 | int64(b)

@@ -2,20 +2,20 @@ package pfs
 
 import "ddio/internal/sim"
 
-// sampleSlots draws k distinct integers uniformly at random from [0, n),
-// in the order a Fisher–Yates shuffle of [0, n) would emit its first k
-// elements. It runs in O(k) time and space by keeping only the shuffled
-// prefix and the displaced entries in a sparse map, instead of
+// sampleSlots fills out with len(out) distinct integers drawn uniformly
+// at random from [0, n), in the order a Fisher–Yates shuffle of [0, n)
+// would emit its first len(out) elements. It runs in O(len(out)) time
+// and space by keeping only the shuffled prefix and the displaced
+// entries in the sparse map displaced, which must be empty, instead of
 // materializing (and permuting) all n slots the way rng.Perm(n)[:k]
 // does. For a file of a few dozen blocks per disk on a ~165k-slot
 // HP 97560, that turns layout setup from O(disk) into O(transfer).
-func sampleSlots(r *sim.Rand, n int64, k int) []int64 {
-	if int64(k) > n {
+func sampleSlots(r *sim.Rand, n int64, out []int64, displaced map[int64]int64) {
+	k := int64(len(out))
+	if k > n {
 		panic("pfs: sample larger than population")
 	}
-	out := make([]int64, k)
-	displaced := make(map[int64]int64, k)
-	for i := int64(0); i < int64(k); i++ {
+	for i := int64(0); i < k; i++ {
 		j := i + r.Int63n(n-i)
 		vj, ok := displaced[j]
 		if !ok {
@@ -28,5 +28,4 @@ func sampleSlots(r *sim.Rand, n int64, k int) []int64 {
 		out[i] = vj
 		displaced[j] = vi
 	}
-	return out
 }

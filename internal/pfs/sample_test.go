@@ -1,6 +1,7 @@
 package pfs
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -8,13 +9,20 @@ import (
 	"ddio/internal/sim"
 )
 
+// sample draws k slots from [0, n) with a fresh sampler map.
+func sample(r *sim.Rand, n int64, k int) []int64 {
+	out := make([]int64, k)
+	sampleSlots(r, n, out, make(map[int64]int64, k))
+	return out
+}
+
 // Property: every sample is k unique values in [0, n), for arbitrary
 // seeds and sizes.
 func TestQuickSampleSlotsUniqueInRange(t *testing.T) {
 	f := func(seed int64, nSel, kSel uint16) bool {
 		n := int64(nSel)%100000 + 1
 		k := int(int64(kSel) % (n + 1))
-		out := sampleSlots(sim.NewRand(seed), n, k)
+		out := sample(sim.NewRand(seed), n, k)
 		if len(out) != k {
 			return false
 		}
@@ -35,7 +43,7 @@ func TestQuickSampleSlotsUniqueInRange(t *testing.T) {
 // A full-population sample is a permutation.
 func TestSampleSlotsFullPermutation(t *testing.T) {
 	const n = 1000
-	out := sampleSlots(sim.NewRand(7), n, n)
+	out := sample(sim.NewRand(7), n, n)
 	seen := make(map[int64]bool, n)
 	for _, v := range out {
 		if v < 0 || v >= n || seen[v] {
@@ -51,7 +59,7 @@ func TestSampleSlotsOverdrawPanics(t *testing.T) {
 			t.Fatal("sample larger than population did not panic")
 		}
 	}()
-	sampleSlots(sim.NewRand(1), 4, 5)
+	sample(sim.NewRand(1), 4, 5)
 }
 
 // Golden placement: the O(k) sampler is part of the experiment's
@@ -60,7 +68,7 @@ func TestSampleSlotsOverdrawPanics(t *testing.T) {
 // 8 KB-block slots; update them only with a deliberate seed-breaking
 // change.
 func TestSampleSlotsGolden(t *testing.T) {
-	got := sampleSlots(sim.NewRand(1), 167580, 8)
+	got := sample(sim.NewRand(1), 167580, 8)
 	want := []int64{75290, 81956, 56307, 141218, 29253, 71950, 166032, 47095}
 	for i := range want {
 		if got[i] != want[i] {
@@ -70,7 +78,7 @@ func TestSampleSlotsGolden(t *testing.T) {
 	// And through NewFile's per-disk stream derivation, as experiments
 	// actually consume it.
 	rng := sim.NewRand(42)
-	got = sampleSlots(rng.Stream("layout:disk0"), 167580, 8)
+	got = sample(rng.Stream("layout:disk0"), 167580, 8)
 	want = []int64{41619, 4783, 128749, 19694, 18762, 118564, 88828, 91454}
 	for i := range want {
 		if got[i] != want[i] {
@@ -97,5 +105,51 @@ func BenchmarkNewFileRandom(b *testing.B) {
 		if _, err := NewFile(disks, 8192, 128, RandomBlocks, rng); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestRandomPlacementMatchesPerDiskSampler: drawing every disk's
+// samples into the placement through one reused map gives the
+// placement that a fresh sample and map per disk, from streams labelled
+// with fmt, give, for even and uneven block counts on 1 to 64 disks.
+func TestRandomPlacementMatchesPerDiskSampler(t *testing.T) {
+	for _, nd := range []int{1, 4, 16, 64} {
+		for _, blocks := range []int{nd, 3*nd + 1, 128} {
+			for _, seed := range []int64{1, 42} {
+				disks := newDisks(t, nd)
+				f := &File{BlockSize: 8192, NumBlocks: blocks, Disks: disks, sectorsPerBlock: 16}
+				const slots = 167580
+				got := f.randomPlacement(sim.NewRand(seed), slots)
+				rng := sim.NewRand(seed)
+				for d := range disks {
+					slots := sample(rng.Stream(fmt.Sprintf("layout:disk%d", d)), slots, f.blocksOnDisk(d))
+					for i, s := range slots {
+						b := d + i*nd
+						if got[b] != s*f.sectorsPerBlock {
+							t.Fatalf("%d disks, %d blocks, seed %d: block %d at sector %d, want %d", nd, blocks, seed, b, got[b], s*f.sectorsPerBlock)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestNewFileFreshSeedAllocs: a memo miss on 64 disks costs the three
+// allocations of each disk's seeded stream and a handful per file: the
+// stream label and the sampler's slots and map are not allocated per
+// disk.
+func TestNewFileFreshSeedAllocs(t *testing.T) {
+	isolateLayouts(t)
+	disks := newDisks(t, 64)
+	seed := int64(100)
+	allocs := testing.AllocsPerRun(20, func() {
+		seed++
+		if _, err := NewFile(disks, 8192, 64, RandomBlocks, sim.NewRand(seed)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 200 {
+		t.Fatalf("fresh-seed NewFile on 64 disks: %v allocations, want at most 200", allocs)
 	}
 }

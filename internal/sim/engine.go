@@ -4,11 +4,13 @@
 // virtual clock from event to event and runs simulated "processes"
 // (cooperatively scheduled coroutines) one at a time, so a run is a pure
 // function of its inputs and seeds. Entities that need to block — disk
-// servers, cache handler threads, compute-processor request pumps — are
-// Procs; cheap asynchronous activity (message delivery, DMA deposit) is
-// modeled with completion tokens, timed events that call back a
+// servers, collective-request workers, compute-processor request pumps —
+// are Procs; activity that only waits out costs (message delivery, DMA
+// deposit, file-server dispatch, cache handlers until they must wait)
+// is modeled with completion tokens, timed events that call back a
 // long-lived target object (see completion.go). Waking a proc is itself
-// a completion token whose target is the proc.
+// a completion token whose target is the proc, and a callback that must
+// block starts a proc within its own event (Engine.GoNow).
 //
 // Time is absolute virtual time in nanoseconds (Time); durations use the
 // standard time.Duration. The engine is not safe for concurrent use from
@@ -243,7 +245,7 @@ func (e *Engine) BlockedProcs() []string {
 }
 
 // NumBlocked returns the number of currently blocked procs, excluding
-// daemons (dispatch loops, disk servers — procs spawned with GoDaemon).
+// daemons (disk servers — procs spawned with GoDaemon).
 // After a successful run it should be zero; anything else is a leaked
 // transient proc.
 func (e *Engine) NumBlocked() int {

@@ -73,33 +73,31 @@ func TestFifoPopZeroesSlots(t *testing.T) {
 	}
 }
 
-// TestMailboxPingPongAllocFree: once warm, a Put/Get round trip between
-// two procs allocates nothing — the mailbox queues keep their capacity
-// across drains.
+// TestMailboxPingPongAllocFree: once warm, a Put/Recv round trip
+// between two receivers allocates nothing — the mailbox queues and the
+// waiting-token queues keep their capacity across drains.
 func TestMailboxPingPongAllocFree(t *testing.T) {
 	e := NewEngine()
 	defer e.Close()
-	ping, pong := NewMailbox(e, "ping"), NewMailbox(e, "pong")
+	ping, pong := NewMailbox(e), NewMailbox(e)
 	var msg any = 1 // boxed once: Put stores the interface as is
-	e.GoDaemon("echo", func(p *Proc) {
-		for {
-			pong.Put(ping.Get(p))
-		}
-	})
-	var fn func(p *Proc)
-	fn = func(p *Proc) {
+	echo := &relay{from: ping, to: pong}
+	client := &relay{from: pong}
+	echo.recv(0)
+	client.recv(0)
+	round := func() {
+		echo.got, echo.at = echo.got[:0], echo.at[:0]
+		client.got, client.at = client.got[:0], client.at[:0]
 		ping.Put(msg)
-		pong.Get(p)
+		e.Run()
 	}
 	for i := 0; i < 8; i++ {
-		e.Go("client", fn)
-		e.Run()
+		round()
 	}
-	avg := testing.AllocsPerRun(200, func() {
-		e.Go("client", fn)
-		e.Run()
-	})
-	if avg > 0 {
+	if len(client.got) != 1 || client.got[0] != msg {
+		t.Fatalf("round trip delivered %v", client.got)
+	}
+	if avg := testing.AllocsPerRun(200, round); avg > 0 {
 		t.Errorf("mailbox ping-pong allocates %.2f objects/op, want 0", avg)
 	}
 }

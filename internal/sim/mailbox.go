@@ -1,37 +1,38 @@
 package sim
 
-// Mailbox is an unbounded FIFO message queue with blocking receive, the
-// basic transport endpoint for simulated nodes. Put never blocks (the
-// interconnect applies backpressure through its bandwidth pipes instead);
-// Get blocks the calling proc until a message is available.
+// Mailbox is an unbounded FIFO message queue, the basic transport
+// endpoint for simulated nodes. Put never blocks (the interconnect
+// applies backpressure through its bandwidth pipes instead). A receiver
+// is a completion target, not a proc: Recv hands it the oldest message,
+// or queues its token to fire when the next message arrives.
 type Mailbox struct {
-	eng       *Engine
-	name      string
-	parkLabel string // precomputed park reason (avoids per-wait concat)
-	queue     fifo[any]
-	waits     fifo[*Proc]
+	eng   *Engine
+	queue fifo[any]
+	waits fifo[Completion]
 }
 
 // NewMailbox returns an empty mailbox.
-func NewMailbox(e *Engine, name string) *Mailbox {
-	return &Mailbox{eng: e, name: name, parkLabel: "mailbox " + name}
+func NewMailbox(e *Engine) *Mailbox {
+	return &Mailbox{eng: e}
 }
 
-// Put appends v and wakes the oldest waiting receiver, if any. It may be
-// called from proc or event context.
+// Put appends v and fires the oldest waiting receiver's token, if any,
+// at the current instant (after the events already queued for it). It
+// may be called from proc or event context.
 func (m *Mailbox) Put(v any) {
 	m.queue.push(v)
 	if m.waits.len() > 0 {
-		m.eng.wake(m.waits.pop())
+		m.eng.AtCompletion(m.eng.now, m.waits.pop())
 	}
 }
 
-// Get removes and returns the oldest message, blocking p until one is
-// available.
-func (m *Mailbox) Get(p *Proc) any {
-	for m.queue.len() == 0 {
-		m.waits.push(p)
-		p.park(m.parkLabel)
+// Recv removes and returns the oldest message. When none is queued it
+// returns false and queues c instead: the next Put fires c, whose target
+// calls Recv again. Waiting tokens fire oldest first, one per Put.
+func (m *Mailbox) Recv(c Completion) (any, bool) {
+	if m.queue.len() == 0 {
+		m.waits.push(c)
+		return nil, false
 	}
-	return m.queue.pop()
+	return m.queue.pop(), true
 }

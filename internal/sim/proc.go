@@ -122,15 +122,39 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 	return e.spawn(name, fn, false)
 }
 
-// GoDaemon is Go for procs that intentionally never exit — message
-// dispatchers and disk server loops. Daemons are excluded from
-// NumBlocked, so "no procs blocked after the run" remains a meaningful
-// leak check; they still appear in BlockedProcs.
+// GoDaemon is Go for procs that intentionally never exit, such as disk
+// server loops. Daemons are excluded from NumBlocked, so "no procs
+// blocked after the run" remains a meaningful leak check; they still
+// appear in BlockedProcs.
 func (e *Engine) GoDaemon(name string, fn func(p *Proc)) *Proc {
 	return e.spawn(name, fn, true)
 }
 
+// GoNow is Go for a completion callback that must block: it starts fn
+// on a proc within the current event, right after the callback returns
+// and before any other event fires, instead of queueing a start token.
+// It must be called from event context, and one event can start at
+// most one proc this way (a second dispatch panics, naming both). A
+// dead proc is reused first, so when the callback runs on the carrier
+// of the proc that just died, fn continues on it with no switch.
+func (e *Engine) GoNow(name string, fn func(p *Proc)) *Proc {
+	if !e.running || e.cur != nil {
+		panic("sim: GoNow(" + name + ") outside event context")
+	}
+	p := e.arm(name, fn, false)
+	e.dispatch(p)
+	return p
+}
+
 func (e *Engine) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
+	p := e.arm(name, fn, daemon)
+	e.atProc(e.now, p) // start token: dispatches p when it fires
+	return p
+}
+
+// arm readies a proc to run fn: a dead one from the free list, or a new
+// one on a pooled carrier.
+func (e *Engine) arm(name string, fn func(p *Proc), daemon bool) *Proc {
 	if e.closed {
 		// The engine rejects new work after Close; hand back an inert
 		// dead proc so callers need no special case.
@@ -150,7 +174,6 @@ func (e *Engine) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
 	p.name = name
 	p.fn = fn
 	p.daemon = daemon
-	e.atProc(e.now, p) // start token: dispatches p when it fires
 	return p
 }
 

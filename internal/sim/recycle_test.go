@@ -167,10 +167,10 @@ func TestCloseAfterRecycleIdempotent(t *testing.T) {
 func TestGoDaemonExcludedFromNumBlocked(t *testing.T) {
 	e := NewEngine()
 	defer e.Close()
-	mb := NewMailbox(e, "mb")
+	work := NewCond(e, "work")
 	e.GoDaemon("dispatcher", func(p *Proc) {
 		for {
-			mb.Get(p)
+			work.Wait(p)
 		}
 	})
 	e.Go("worker", func(p *Proc) { p.Sleep(time.Microsecond) })
@@ -178,7 +178,7 @@ func TestGoDaemonExcludedFromNumBlocked(t *testing.T) {
 	if n := e.NumBlocked(); n != 0 {
 		t.Fatalf("NumBlocked = %d, want 0 (daemon excluded)", n)
 	}
-	if procs := e.BlockedProcs(); len(procs) != 1 || procs[0] != "dispatcher [mailbox mb]" {
+	if procs := e.BlockedProcs(); len(procs) != 1 || procs[0] != "dispatcher [cond work]" {
 		t.Fatalf("BlockedProcs = %v", procs)
 	}
 }
@@ -283,14 +283,9 @@ func TestCarrierPoolConcurrentEngines(t *testing.T) {
 	run := func() int64 {
 		e := NewEngine()
 		defer e.Close()
-		mb := NewMailbox(e, "mb")
-		got := 0
-		e.GoDaemon("sink", func(p *Proc) {
-			for {
-				mb.Get(p)
-				got++
-			}
-		})
+		mb := NewMailbox(e)
+		sink := &relay{from: mb}
+		sink.recv(0)
 		for i := 0; i < 6; i++ {
 			e.Go("src", func(p *Proc) {
 				for j := 0; j < 20; j++ {
@@ -300,7 +295,7 @@ func TestCarrierPoolConcurrentEngines(t *testing.T) {
 			})
 		}
 		e.Run()
-		if got != 6*20 {
+		if got := len(sink.got); got != 6*20 {
 			t.Errorf("sink got %d messages, want %d", got, 6*20)
 		}
 		return e.Events()

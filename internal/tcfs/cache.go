@@ -86,9 +86,28 @@ func (c *blockCache) noteOccupancy(t sim.Time) {
 	c.s.rec.Buffer(c.s.traceName, int64(t), len(c.index), len(c.bufs))
 }
 
+// tryRead returns block's frame, pinned, if a read can take it at once:
+// the frame is cached, not being read, and holds every byte (it is not a
+// partial frame that needs a fill or is being flushed). Otherwise it
+// returns nil and changes nothing. getRead starts with it, so handlers
+// probing in event context and the blocking path share one hit test.
+func (c *blockCache) tryRead(now sim.Time, block int) *buffer {
+	b := c.index[block]
+	if b == nil || b.state == bufReading || b.partial && (b.flushing || b.dirty < c.blockSize) {
+		return nil
+	}
+	b.pins++
+	b.lastUse = now
+	c.s.m2.CacheHits++
+	return b
+}
+
 // getRead returns a pinned, valid buffer holding block, reading it from
 // disk on a miss or to fill a partial frame. The caller must unpin.
 func (c *blockCache) getRead(p *sim.Proc, block int) *buffer {
+	if b := c.tryRead(p.Now(), block); b != nil {
+		return b
+	}
 	for {
 		if b := c.index[block]; b != nil {
 			b.pins++
@@ -134,11 +153,29 @@ func (c *blockCache) getRead(p *sim.Proc, block int) *buffer {
 	}
 }
 
+// tryWrite returns block's frame, pinned, if a write can take it at
+// once: the frame is cached and neither being read nor flushed.
+// Otherwise it returns nil and changes nothing; getWrite starts with it.
+func (c *blockCache) tryWrite(now sim.Time, block int) *buffer {
+	b := c.index[block]
+	if b == nil || b.state == bufReading || b.flushing {
+		return nil
+	}
+	b.pins++
+	b.lastUse = now
+	c.s.m2.CacheHits++
+	c.bitmap(b)
+	return b
+}
+
 // getWrite returns a pinned buffer for writing into block. On a miss no
 // disk read happens: a partial frame with a dirty bitmap is installed,
 // filled from disk by the first read or flush that needs its unwritten
 // bytes.
 func (c *blockCache) getWrite(p *sim.Proc, block int) *buffer {
+	if b := c.tryWrite(p.Now(), block); b != nil {
+		return b
+	}
 	for {
 		if b := c.index[block]; b != nil {
 			b.pins++

@@ -32,6 +32,9 @@ type Client struct {
 	// reqs pools the request records themselves; each is released back
 	// here by its reply's terminal completion (see request.release).
 	reqs sim.Arena[request]
+	// handlers pools the servers' handler records for this client's
+	// requests and their prefetches (see handler.finish).
+	handlers sim.Arena[handler]
 }
 
 // SetMemBase offsets every CP's memory addresses by base[cp]; two-phase
@@ -81,15 +84,20 @@ func (c *Client) getWG() *sim.WaitGroup {
 // Wait returned, so no Done event or waiter can still reference it.
 func (c *Client) putWG(wg *sim.WaitGroup) { c.wgfree = append(c.wgfree, wg) }
 
-// getReq takes a pooled request record. A fresh record is stamped with
-// this client as owner and gets its serve method bound, once.
+// getReq takes a pooled request record stamped with this client as
+// owner.
 func (c *Client) getReq() *request {
 	r := c.reqs.Get()
-	if r.run == nil {
-		r.owner = c
-		r.run = r.serve
-	}
+	r.owner = c
 	return r
+}
+
+// getHandler takes a pooled handler record stamped with this client as
+// owner.
+func (c *Client) getHandler() *handler {
+	h := c.handlers.Get()
+	h.owner = c
+	return h
 }
 
 // putReq recycles a released request record.

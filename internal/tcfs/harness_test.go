@@ -88,6 +88,38 @@ func (r *rig) transfer(t *testing.T, dec *hpf.Decomp, write bool, prm Params) ti
 		cp := cp
 		r.eng.Go(fmt.Sprintf("cp%d", cp), func(p *sim.Proc) { client.TransferCP(p, cp, write) })
 	}
+	return r.run(t, client)
+}
+
+// stream runs one workload phase, CP i issuing streams[i] (CPs past the
+// end issue nothing), with each request's memory filled from the file
+// image (for writes) or the file preloaded (for reads), and returns the
+// elapsed virtual time.
+func (r *rig) stream(t *testing.T, streams [][]StreamReq) time.Duration {
+	t.Helper()
+	client := NewClient(r.m, r.f, nil, r.servers, DefaultParams())
+	r.f.Preload()
+	for cp, node := range r.m.CPs {
+		var reqs []StreamReq
+		if cp < len(streams) {
+			reqs = streams[cp]
+		}
+		node.Mem = make([]byte, r.f.Size())
+		for _, rq := range reqs {
+			if rq.Write {
+				pfs.FillImage(node.Mem[rq.MemOff:rq.MemOff+rq.Len], rq.FileOff)
+			}
+		}
+		cp := cp
+		r.eng.Go(fmt.Sprintf("cp%d", cp), func(p *sim.Proc) { client.StreamCP(p, cp, reqs) })
+	}
+	return r.run(t, client)
+}
+
+// run runs the engine until the client's transfer is done, checks that
+// no thread outlived it, and returns the elapsed virtual time.
+func (r *rig) run(t *testing.T, client *Client) time.Duration {
+	t.Helper()
 	r.eng.Run()
 	if client.EndTime() == 0 {
 		t.Fatalf("transfer did not complete; blocked: %v", r.eng.BlockedProcs())

@@ -21,8 +21,7 @@ import (
 type request struct {
 	owner  *Client // issuing client, for release back to its pool
 	gen    uint64
-	srv    *Server         // serving IOP, stamped at dispatch
-	run    func(*sim.Proc) // serve bound once per pooled record
+	srv    *Server // serving IOP, stamped at dispatch
 	write  bool
 	block  int
 	off    int // offset within the block
@@ -71,35 +70,198 @@ func (r *request) release() {
 	r.owner.putReq(r)
 }
 
-// serve is the request's handler thread: it handles the request, then
-// records its busy span. The reply can land, and the client recycle r,
-// while the handler is still finishing, so r is not touched after
-// handle returns.
-func (r *request) serve(h *sim.Proc) {
-	s := r.srv
-	start := h.Now()
-	s.handle(h, r)
-	s.outstanding.Done()
-	s.rec.PoolBusy(s.svcName, int64(start), int64(h.Now()))
+// handler is one of the paper's handler threads: a request's, or a
+// prefetch's, which pulls one block into the cache ahead of demand. It
+// runs as a chain of completion tokens, one at the end of each CPU
+// charge, and borrows a proc (Server.wait) only for a cache call that
+// must block: a miss, a wait for another handler's fill or flush, or
+// the flush of a block a write filled. The thread's simulated cost is
+// the ThreadCreate the dispatcher charges, not a host coroutine.
+// Records are pooled on the Client that issued the request; the handler
+// finishes, and is released, at its last stage, so no token outlives it.
+type handler struct {
+	owner    *Client
+	srv      *Server
+	gen      uint64
+	r        *request // request served, until its reply is sent
+	prefetch bool
+	block    int
+	b        *buffer  // write: the pinned frame, from lookup to unpin
+	full     bool     // write: the frame is now wholly dirty
+	k        int      // read: distance of the next block to prefetch
+	id       int64    // trace request id
+	start    sim.Time // handler start, for its trace spans
 }
 
-// prefetch is one block to be pulled into the cache ahead of demand,
-// pooled on its server and run on a handler thread of its own.
-type prefetch struct {
-	srv   *Server
-	block int
-	run   func(*sim.Proc) // serve bound once per pooled record
+// Handler token kinds: the end of each of the thread's CPU charges.
+const (
+	hStart         uint8 = iota + 1 // request handler starts
+	hLooked                         // CacheAccessCPU charged
+	hCopied                         // write copy charged
+	hReplied                        // ReplySendCPU charged
+	hPrefetch                       // a prefetch's CacheAccessCPU charged
+	hPrefetchStart                  // prefetch handler starts
+)
+
+func (h *handler) token(kind uint8) sim.Completion {
+	return sim.Completion{Target: h, Gen: h.gen, Kind: kind}
 }
 
-// serve reads the block into the cache on a handler thread.
-func (pf *prefetch) serve(h *sim.Proc) {
-	s := pf.srv
-	start := h.Now()
-	b := s.cache.getRead(h, pf.block)
+// charge reserves the IOP's CPU for d and schedules the stage kind at
+// the end of the reservation.
+func (h *handler) charge(d time.Duration, kind uint8) {
+	_, end := h.srv.node.CPU.ReserveFor(d)
+	h.srv.m.Eng.AtCompletion(end, h.token(kind))
+}
+
+// Complete advances the handler by one stage.
+func (h *handler) Complete(c sim.Completion, now sim.Time) {
+	if c.Gen != h.gen {
+		return
+	}
+	s := h.srv
+	switch c.Kind {
+	case hStart:
+		s.m2.Requests++
+		h.id = s.reqSeq
+		s.reqSeq++
+		h.start = now
+		s.rec.RequestStart(s.traceName, h.id, int64(now), h.r.write, int64(h.r.n))
+		h.charge(s.prm.CacheAccessCPU, hLooked)
+	case hLooked:
+		var b *buffer
+		if h.r.write {
+			s.m2.Writes++
+			b = s.cache.tryWrite(now, h.block)
+		} else {
+			s.m2.Reads++
+			b = s.cache.tryRead(now, h.block)
+		}
+		if b == nil {
+			h.borrow()
+		} else {
+			h.got(b)
+		}
+	case hCopied:
+		// The only memory-memory copy in the system (paper §4): from the
+		// handler's message buffer into the cache frame.
+		r, b := h.r, h.b
+		copy(b.data[r.off:r.off+r.n], r.data)
+		b.markWritten(r.off, r.n)
+		h.full = b.dirty == s.f.BlockSize
+		// Ack before the write-behind happens: the data is safely cached.
+		h.charge(s.prm.ReplySendCPU, hReplied)
+	case hReplied:
+		// The reply can land, and the client recycle the request, while
+		// the handler is still finishing.
+		r := h.r
+		h.r = nil
+		if !r.write {
+			// The data is DMA-deposited straight into the user buffer at
+			// the CP (reqReadLand), which then pays a small wakeup cost.
+			s.m.SendC(s.node, r.src, r.n, 0, r.token(reqReadLand))
+			h.prefetchNext(now)
+			return
+		}
+		s.m.SendC(s.node, r.src, 0, 0, r.token(reqWriteAck))
+		if h.full && !h.b.flushing {
+			h.borrow()
+			return
+		}
+		s.cache.unpin(h.b)
+		h.finish(now)
+	case hPrefetch:
+		s.outstanding.Add(1)
+		pf := h.owner.getHandler()
+		pf.srv = s
+		pf.prefetch = true
+		pf.block = h.block + h.k*len(s.f.Disks)
+		s.m.Eng.AtCompletion(now, pf.token(hPrefetchStart))
+		h.k++
+		h.prefetchNext(now)
+	case hPrefetchStart:
+		h.start = now
+		if b := s.cache.tryRead(now, h.block); b != nil {
+			s.cache.unpin(b)
+			h.finish(now)
+		} else {
+			h.borrow()
+		}
+	}
+}
+
+// borrow runs the handler's blocking cache call (wait) on a proc that
+// starts within the current event.
+func (h *handler) borrow() {
+	s := h.srv
+	s.waiting = h
+	s.m.Eng.GoNow(s.svcName, s.wait)
+}
+
+// wait is the body of a borrowed proc: the cache call that blocks, after
+// which the handler goes back to tokens.
+func (h *handler) wait(p *sim.Proc) {
+	c := h.srv.cache
+	switch {
+	case h.prefetch:
+		c.unpin(c.getRead(p, h.block))
+		h.finish(p.Now())
+	case h.b != nil: // a write that filled its frame
+		c.flush(p, h.b)
+		c.unpin(h.b)
+		h.finish(p.Now())
+	case h.r.write:
+		h.got(c.getWrite(p, h.block))
+	default:
+		h.got(c.getRead(p, h.block))
+	}
+}
+
+// got goes on with the request's pinned frame b: a write charges its
+// copy into b; a read stages its data from b on the request record,
+// unpins b and charges the reply.
+func (h *handler) got(b *buffer) {
+	r, s := h.r, h.srv
+	if r.write {
+		h.b = b
+		h.charge(s.prm.CopyPerByte*time.Duration(r.n), hCopied)
+		return
+	}
+	r.data = append(r.data[:0], b.data[r.off:r.off+r.n]...)
 	s.cache.unpin(b)
+	h.charge(s.prm.ReplySendCPU, hReplied)
+}
+
+// prefetchNext starts an asynchronous read of the next block(s) on the
+// same disk, from distance k on, if they are not cached — the paper's
+// one-block-ahead prefetch whose occasional mistake (one extra block at
+// the end of rb) it also reproduces — and finishes the handler after
+// the last.
+func (h *handler) prefetchNext(now sim.Time) {
+	s := h.srv
+	for ; h.k <= s.prm.PrefetchBlocks; h.k++ {
+		nb := h.block + h.k*len(s.f.Disks) // next file block on this disk
+		if nb >= s.f.NumBlocks || s.cache.contains(nb) {
+			continue
+		}
+		s.m2.Prefetches++
+		h.charge(s.prm.CacheAccessCPU, hPrefetch)
+		return
+	}
+	h.finish(now)
+}
+
+// finish ends the handler: it records its spans, counts it out of the
+// server's in-flight work and releases the record.
+func (h *handler) finish(now sim.Time) {
+	s := h.srv
+	if !h.prefetch {
+		s.rec.RequestEnd(s.traceName, h.id, int64(h.start), int64(now))
+	}
 	s.outstanding.Done()
-	s.prefetches.Put(pf)
-	s.rec.PoolBusy(s.svcName, int64(start), int64(h.Now()))
+	s.rec.PoolBusy(s.svcName, int64(h.start), int64(now))
+	*h = handler{owner: h.owner, gen: h.gen + 1}
+	h.owner.handlers.Put(h)
 }
 
 // syncReq asks an IOP to flush write-behind data, wait out prefetches,
@@ -109,9 +271,10 @@ type syncReq struct {
 	done *sim.WaitGroup
 }
 
-// Server is the traditional-caching IOP: a dispatcher daemon that starts
-// a handler thread for each incoming request (paying ThreadCreate CPU,
-// as the paper's server does) over a shared block cache.
+// Server is the traditional-caching IOP: a dispatcher that starts a
+// handler thread for each incoming request (paying ThreadCreate CPU, as
+// the paper's server does) over a shared block cache. The dispatcher is
+// the server itself as a completion target (Complete).
 type Server struct {
 	m     *cluster.Machine
 	node  *cluster.Node
@@ -121,13 +284,15 @@ type Server struct {
 	m2    Metrics
 	retry disk.Retrier // bounded-retry policy for every disk request
 
-	outstanding *sim.WaitGroup      // in-flight requests and prefetches
-	prefetches  sim.Arena[prefetch] // prefetch records
-	svcName     string              // precomputed handler proc name
-	syncName    string              // precomputed sync-handler proc name
-	rec         *trace.Recorder     // event tracing, nil when disabled
-	traceName   string              // precomputed node label for trace records
-	reqSeq      int64               // per-server request id for trace correlation
+	msg         any             // message being dispatched
+	outstanding *sim.WaitGroup  // in-flight requests and prefetches
+	waiting     *handler        // handler whose borrowed proc starts next
+	wait        func(*sim.Proc) // borrowed procs' body, bound once
+	svcName     string          // precomputed handler proc name
+	syncName    string          // precomputed sync-handler proc name
+	rec         *trace.Recorder // event tracing, nil when disabled
+	traceName   string          // precomputed node label for trace records
+	reqSeq      int64           // per-server request id for trace correlation
 }
 
 // NewServer builds the caching server for one IOP and starts its
@@ -143,7 +308,12 @@ func NewServer(m *cluster.Machine, node *cluster.Node, f *pfs.File, nCP int, prm
 	frames := prm.BuffersPerDiskPerCP * nCP * s.localDiskCount()
 	s.cache = newBlockCache(s, frames, f.BlockSize)
 	s.outstanding = sim.NewWaitGroup(m.Eng, "tc-outstanding:"+node.String(), 0)
-	m.Eng.GoDaemon("tc-dispatch:"+node.String(), s.dispatch)
+	s.wait = func(p *sim.Proc) {
+		h := s.waiting
+		s.waiting = nil
+		h.wait(p)
+	}
+	m.Eng.AtCompletion(m.Eng.Now(), s.token(dRecv))
 	return s
 }
 
@@ -179,91 +349,52 @@ func (s *Server) ownsDisk(d int) bool {
 	return d%len(s.m.IOPs) == s.node.Index
 }
 
-func (s *Server) dispatch(p *sim.Proc) {
-	for {
-		msg := s.node.Mail.Get(p)
-		s.node.CPU.UseFor(p, s.prm.DispatchCPU)
-		switch r := msg.(type) {
+// Dispatcher token kinds.
+const (
+	dRecv       uint8 = iota + 1 // a message may be waiting
+	dDispatched                  // DispatchCPU charged for msg
+	dCreated                     // ThreadCreate charged for msg
+)
+
+func (s *Server) token(kind uint8) sim.Completion {
+	return sim.Completion{Target: s, Kind: kind}
+}
+
+// Complete runs the dispatcher: it takes each message from the mailbox,
+// charges DispatchCPU to demultiplex it, and starts a handler for a
+// request (after ThreadCreate) or a sync handler for a sync.
+func (s *Server) Complete(c sim.Completion, now sim.Time) {
+	switch c.Kind {
+	case dDispatched:
+		switch r := s.msg.(type) {
 		case *request:
-			s.node.CPU.UseFor(p, s.prm.ThreadCreate)
-			s.outstanding.Add(1)
-			r.srv = s
-			s.m.Eng.Go(s.svcName, r.run)
+			_, end := s.node.CPU.ReserveFor(s.prm.ThreadCreate)
+			s.m.Eng.AtCompletion(end, s.token(dCreated))
+			return
 		case *syncReq:
 			s.m.Eng.Go(s.syncName, func(h *sim.Proc) { s.handleSync(h, r) })
 		default:
-			panic(fmt.Sprintf("tcfs: unexpected message %T", msg))
+			panic(fmt.Sprintf("tcfs: unexpected message %T", s.msg))
 		}
-	}
-}
-
-func (s *Server) handle(h *sim.Proc, r *request) {
-	s.m2.Requests++
-	id := s.reqSeq
-	s.reqSeq++
-	start := h.Now()
-	s.rec.RequestStart(s.traceName, id, int64(start), r.write, int64(r.n))
-	s.node.CPU.UseFor(h, s.prm.CacheAccessCPU)
-	if r.write {
-		s.handleWrite(h, r)
-	} else {
-		s.handleRead(h, r)
-	}
-	s.rec.RequestEnd(s.traceName, id, int64(start), int64(h.Now()))
-}
-
-func (s *Server) handleRead(h *sim.Proc, r *request) {
-	s.m2.Reads++
-	b := s.cache.getRead(h, r.block)
-	// Stage the reply on the request record itself.
-	r.data = append(r.data[:0], b.data[r.off:r.off+r.n]...)
-	s.cache.unpin(b)
-	// Reply with the data; it is DMA-deposited straight into the user
-	// buffer at the CP (reqReadLand), which then pays a small wakeup cost.
-	s.node.CPU.UseFor(h, s.prm.ReplySendCPU)
-	s.m.SendC(s.node, r.src, r.n, 0, r.token(reqReadLand))
-	s.maybePrefetch(h, r.block)
-}
-
-func (s *Server) handleWrite(h *sim.Proc, r *request) {
-	s.m2.Writes++
-	b := s.cache.getWrite(h, r.block)
-	// The only memory-memory copy in the system (paper §4): from the
-	// handler's message buffer into the cache frame.
-	s.node.CPU.UseFor(h, s.prm.CopyPerByte*time.Duration(r.n))
-	copy(b.data[r.off:r.off+r.n], r.data)
-	b.markWritten(r.off, r.n)
-	full := b.dirty == s.f.BlockSize
-	// Ack before the write-behind happens: the data is safely cached.
-	s.node.CPU.UseFor(h, s.prm.ReplySendCPU)
-	s.m.SendC(s.node, r.src, 0, 0, r.token(reqWriteAck))
-	if full && !b.flushing {
-		s.cache.flush(h, b)
-	}
-	s.cache.unpin(b)
-}
-
-// maybePrefetch starts an asynchronous read of the next block(s) on the
-// same disk, if cache frames are idle — the paper's one-block-ahead
-// prefetch whose occasional mistake (one extra block at the end of rb)
-// it also reproduces.
-func (s *Server) maybePrefetch(h *sim.Proc, afterBlock int) {
-	for k := 1; k <= s.prm.PrefetchBlocks; k++ {
-		nb := afterBlock + k*len(s.f.Disks) // next file block on this disk
-		if nb >= s.f.NumBlocks || s.cache.contains(nb) {
-			continue
-		}
-		s.m2.Prefetches++
-		s.node.CPU.UseFor(h, s.prm.CacheAccessCPU)
+	case dCreated:
+		r := s.msg.(*request)
 		s.outstanding.Add(1)
-		pf := s.prefetches.Get()
-		if pf.run == nil {
-			pf.srv = s
-			pf.run = pf.serve
-		}
-		pf.block = nb
-		s.m.Eng.Go(s.svcName, pf.run)
+		r.srv = s
+		h := r.owner.getHandler()
+		h.srv = s
+		h.r = r
+		h.block = r.block
+		h.k = 1
+		s.m.Eng.AtCompletion(now, h.token(hStart))
 	}
+	s.msg = nil
+	msg, ok := s.node.Mail.Recv(s.token(dRecv))
+	if !ok {
+		return
+	}
+	s.msg = msg
+	_, end := s.node.CPU.ReserveFor(s.prm.DispatchCPU)
+	s.m.Eng.AtCompletion(end, s.token(dDispatched))
 }
 
 func (s *Server) handleSync(h *sim.Proc, r *syncReq) {
