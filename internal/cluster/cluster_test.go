@@ -9,6 +9,16 @@ import (
 	"ddio/internal/sim"
 )
 
+// funcTarget adapts a plain function to sim.CompletionTarget.
+type funcTarget func(now sim.Time)
+
+func (f funcTarget) Complete(_ sim.Completion, now sim.Time) { f(now) }
+
+// callback wraps fn as a completion token, allocating the closure.
+func callback(fn func(now sim.Time)) sim.Completion {
+	return sim.Completion{Target: funcTarget(fn)}
+}
+
 func newMachine(t *testing.T, ncp, niop int) (*sim.Engine, *Machine) {
 	t.Helper()
 	e := sim.NewEngine()
@@ -77,7 +87,7 @@ func TestSendDeliversToMailboxAndChargesCPU(t *testing.T) {
 	src, dst := m.CPs[0], m.IOPs[0]
 	var got any
 	var recv sim.Completion
-	recv = sim.Callback(func(sim.Time) { got, _ = dst.Mail.Recv(recv) })
+	recv = callback(func(sim.Time) { got, _ = dst.Mail.Recv(recv) })
 	dst.Mail.Recv(recv)
 	m.Send(src, dst, 128, 10*time.Microsecond, "payload")
 	e.Run()
@@ -92,7 +102,7 @@ func TestSendDeliversToMailboxAndChargesCPU(t *testing.T) {
 func TestSendCRunsAtDelivery(t *testing.T) {
 	e, m := newMachine(t, 2, 2)
 	var at sim.Time
-	m.SendC(m.CPs[0], m.CPs[1], 64, 0, sim.Callback(func(ts sim.Time) { at = ts }))
+	m.SendC(m.CPs[0], m.CPs[1], 64, 0, callback(func(ts sim.Time) { at = ts }))
 	e.Run()
 	if at == 0 {
 		t.Fatal("SendC completion never fired")
@@ -106,8 +116,8 @@ func TestMemputLandsDataAndSignals(t *testing.T) {
 	data := []byte{1, 2, 3, 4}
 	var sentAt, doneAt sim.Time
 	m.Memput(m.IOPs[0], dst, 8, data, time.Microsecond,
-		sim.Callback(func(ts sim.Time) { sentAt = ts }),
-		sim.Callback(func(td sim.Time) { doneAt = td }))
+		callback(func(ts sim.Time) { sentAt = ts }),
+		callback(func(td sim.Time) { doneAt = td }))
 	// Mutate the source buffer after the call: the Memput must have
 	// snapshotted it.
 	data[0] = 99
@@ -127,7 +137,7 @@ func TestMemgetFetchesRemoteData(t *testing.T) {
 	got := make([]byte, 3)
 	var doneAt sim.Time
 	m.Memget(m.IOPs[0], src, 1, got, time.Microsecond, time.Microsecond,
-		sim.Callback(func(ts sim.Time) { doneAt = ts }))
+		callback(func(ts sim.Time) { doneAt = ts }))
 	e.Run()
 	if doneAt == 0 {
 		t.Fatal("Memget done completion never fired")
@@ -151,7 +161,7 @@ func TestMemputGatherScattersSegments(t *testing.T) {
 	}
 	delivered := false
 	m.MemputGather(m.IOPs[0], dst, segs, time.Microsecond, sim.Completion{},
-		sim.Callback(func(sim.Time) { delivered = true }))
+		callback(func(sim.Time) { delivered = true }))
 	e.Run()
 	if !delivered {
 		t.Fatal("gather Memput not delivered")
@@ -170,7 +180,7 @@ func TestMemgetGatherReturnsPiecesInOrder(t *testing.T) {
 	m.MemgetGather(m.IOPs[0], src,
 		[]GetSeg{{Off: 6, Len: 2, Dst: p0}, {Off: 0, Len: 3, Dst: p1}},
 		time.Microsecond, time.Microsecond,
-		sim.Callback(func(sim.Time) { fired = true }))
+		callback(func(sim.Time) { fired = true }))
 	e.Run()
 	if !fired || !bytes.Equal(p0, []byte{6, 7}) || !bytes.Equal(p1, []byte{0, 1, 2}) {
 		t.Fatalf("pieces %v %v (fired %v)", p0, p1, fired)

@@ -53,7 +53,7 @@ func TestOverlappingWriteSlotsKeepRMW(t *testing.T) {
 	// (the workload layer's contract), so write order cannot matter.
 	for cp, node := range r.m.CPs {
 		node.Mem = make([]byte, acc.CPBytes(cp))
-		for _, s := range acc.Slots(cp) {
+		for _, s := range acc.Chunks(cp) {
 			pfs.FillImage(node.Mem[s.MemOff:s.MemOff+s.Len], s.FileOff)
 		}
 	}

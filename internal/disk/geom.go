@@ -11,12 +11,11 @@ import (
 // (time, position) so both the foreground request path and the lazy
 // read-ahead accounting can share them.
 type geom struct {
-	spec       *Spec
-	st         sim.Time // sector time, ns
-	rev        sim.Time // st * SectorsPerTrack
-	spt        int64
-	heads      int64
-	totalSlots int64
+	spec  *Spec
+	st    sim.Time // sector time, ns
+	rev   sim.Time // st * SectorsPerTrack
+	spt   int64
+	heads int64
 }
 
 func newGeom(s *Spec) *geom {

@@ -359,9 +359,9 @@ func run(cfg Config, inspect func(*machine)) (*Result, error) {
 			// Traditional caching serves a request stream as issued,
 			// honouring its arrival process.
 			client := tcfs.NewClient(m, f, nil, fs.tcServers, cfg.TC)
-			streams := streamReqs(ph, base)
+			client.SetMemBase(base)
 			phases[i] = phaseExec{
-				runCP: func(p *sim.Proc, cp int) { client.StreamCP(p, cp, streams[cp]) },
+				runCP: func(p *sim.Proc, cp int) { client.StreamCP(p, cp, ph.Streams[cp]) },
 				end:   client.EndTime,
 			}
 			continue

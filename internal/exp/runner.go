@@ -75,17 +75,6 @@ func NewRunner(workers int, progress func(string)) *Runner {
 // pure-function results does, by construction). nil restores the default.
 func (r *Runner) SetRunFunc(fn func(Config) (*Result, error)) { r.run = fn }
 
-// progressf emits one progress line under the runner's lock. Safe to
-// call from any goroutine.
-func (r *Runner) progressf(format string, args ...any) {
-	if r.progress == nil {
-		return
-	}
-	r.mu.Lock()
-	r.progressLocked(format, args...)
-	r.mu.Unlock()
-}
-
 // progressLocked emits one progress line; the caller must already hold
 // the runner's lock (as RunAll onDone callbacks do).
 func (r *Runner) progressLocked(format string, args ...any) {

@@ -72,12 +72,18 @@ func TestTable1MentionsKeyParameters(t *testing.T) {
 	}
 }
 
+// TestFigureOptionsProgress: Options.Progress receives one line per
+// finished cell, here of a one-cell sweep.
 func TestFigureOptionsProgress(t *testing.T) {
 	var lines []string
 	o := Options{Trials: 1, FileBytes: 256 * 1024, Seed: 1, Verify: true,
 		Progress: func(s string) { lines = append(lines, s) }}
-	o.runner().progressf("x %d", 42)
-	if len(lines) != 1 || lines[0] != "x 42" {
-		t.Fatalf("progress %v", lines)
+	spec := &SweepSpec{Name: "figP", Title: "test", Axis: AxisPattern,
+		Layout: "contiguous", Methods: []string{"tc"}, Patterns: []string{"rb"}}
+	if _, err := spec.RunFull(o); err != nil {
+		t.Fatal(err)
+	}
+	if len(lines) != 1 || !strings.HasPrefix(lines[0], "figP pattern=rb") || !strings.Contains(lines[0], "MB/s") {
+		t.Fatalf("progress %q", lines)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"ddio/internal/hpf"
 	"ddio/internal/pfs"
 	"ddio/internal/sim"
-	"ddio/internal/tcfs"
 	"ddio/internal/workload"
 )
 
@@ -106,27 +105,6 @@ func layOut(cfg *Config, res *workload.Resolved) (*layout, error) {
 		}
 	}
 	return lay, nil
-}
-
-// streamReqs converts a phase's per-CP requests into tcfs stream
-// requests with absolute memory offsets.
-func streamReqs(ph *workload.ResolvedPhase, base []int64) [][]tcfs.StreamReq {
-	out := make([][]tcfs.StreamReq, len(ph.Streams))
-	for cp, reqs := range ph.Streams {
-		s := make([]tcfs.StreamReq, len(reqs))
-		for k, rq := range reqs {
-			s[k] = tcfs.StreamReq{
-				Write:   rq.Write,
-				FileOff: rq.FileOff,
-				Len:     rq.Len,
-				MemOff:  base[cp] + rq.MemOff,
-				At:      rq.At,
-				Think:   rq.Think,
-			}
-		}
-		out[cp] = s
-	}
-	return out
 }
 
 // fillWrites seeds the memory behind a phase's write requests (and

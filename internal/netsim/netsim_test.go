@@ -8,6 +8,16 @@ import (
 	"ddio/internal/sim"
 )
 
+// funcTarget adapts a plain function to sim.CompletionTarget.
+type funcTarget func(now sim.Time)
+
+func (f funcTarget) Complete(_ sim.Completion, now sim.Time) { f(now) }
+
+// callback wraps fn as a completion token, allocating the closure.
+func callback(fn func(now sim.Time)) sim.Completion {
+	return sim.Completion{Target: funcTarget(fn)}
+}
+
 func newNet(t *testing.T, nodes int) (*sim.Engine, *Network) {
 	t.Helper()
 	e := sim.NewEngine()
@@ -62,7 +72,7 @@ func TestGridGrowsForManyNodes(t *testing.T) {
 func TestSendDeliversWithWireLatency(t *testing.T) {
 	e, n := newNet(t, 36)
 	var sentAt, gotAt sim.Time
-	n.Send(0, 1, 1000, sim.Callback(func(ts sim.Time) { sentAt = ts }), sim.Callback(func(td sim.Time) { gotAt = td }))
+	n.Send(0, 1, 1000, callback(func(ts sim.Time) { sentAt = ts }), callback(func(td sim.Time) { gotAt = td }))
 	e.Run()
 	cfg := n.Config()
 	perByte := time.Duration(float64(time.Second) / cfg.LinkBandwidth)
@@ -85,8 +95,8 @@ func TestSendDeliversWithWireLatency(t *testing.T) {
 func TestSourceNICSerializesSends(t *testing.T) {
 	e, n := newNet(t, 36)
 	var first, second sim.Time
-	n.Send(0, 1, 100000, sim.Completion{}, sim.Callback(func(ts sim.Time) { first = ts }))
-	n.Send(0, 2, 100000, sim.Completion{}, sim.Callback(func(ts sim.Time) { second = ts }))
+	n.Send(0, 1, 100000, sim.Completion{}, callback(func(ts sim.Time) { first = ts }))
+	n.Send(0, 2, 100000, sim.Completion{}, callback(func(ts sim.Time) { second = ts }))
 	e.Run()
 	if second <= first {
 		t.Fatalf("two sends from one node completed at %v/%v; out-NIC must serialize", first, second)
@@ -99,8 +109,8 @@ func TestSourceNICSerializesSends(t *testing.T) {
 func TestDestNICSerializesReceives(t *testing.T) {
 	e, n := newNet(t, 36)
 	var a, b sim.Time
-	n.Send(1, 0, 100000, sim.Completion{}, sim.Callback(func(ts sim.Time) { a = ts }))
-	n.Send(2, 0, 100000, sim.Completion{}, sim.Callback(func(ts sim.Time) { b = ts }))
+	n.Send(1, 0, 100000, sim.Completion{}, callback(func(ts sim.Time) { a = ts }))
+	n.Send(2, 0, 100000, sim.Completion{}, callback(func(ts sim.Time) { b = ts }))
 	e.Run()
 	if a == b {
 		t.Fatal("two receives at one node completed simultaneously; in-NIC must serialize")
@@ -110,7 +120,7 @@ func TestDestNICSerializesReceives(t *testing.T) {
 func TestSelfSendWorks(t *testing.T) {
 	e, n := newNet(t, 36)
 	ok := false
-	n.Send(3, 3, 10, sim.Completion{}, sim.Callback(func(sim.Time) { ok = true }))
+	n.Send(3, 3, 10, sim.Completion{}, callback(func(sim.Time) { ok = true }))
 	e.Run()
 	if !ok {
 		t.Fatal("self-send never delivered")
@@ -124,7 +134,7 @@ func TestJitterIsSeededDeterministic(t *testing.T) {
 		cfg := DefaultConfig() // jitter on
 		n := New(e, cfg, 4, sim.NewRand(77))
 		var at sim.Time
-		n.Send(0, 1, 100, sim.Completion{}, sim.Callback(func(td sim.Time) { at = td }))
+		n.Send(0, 1, 100, sim.Completion{}, callback(func(td sim.Time) { at = td }))
 		e.Run()
 		return at
 	}

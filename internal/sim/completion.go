@@ -6,7 +6,7 @@ package sim
 // and pin its captured environment to one heap, which is what would
 // keep a future partitioned kernel from sharding the event queue. A
 // Completion instead names a long-lived target object plus a small
-// (kind, arg) payload, all carried by value inside the event record, so
+// kind payload, all carried by value inside the event record, so
 // scheduling one allocates nothing. Proc dispatch is the same shape:
 // its target is the proc itself (procToken).
 //
@@ -28,15 +28,14 @@ type CompletionTarget interface {
 }
 
 // Completion is one schedulable completion token: Target receives the
-// token, Gen pins it to the target's current incarnation, and Kind/Arg
-// are payload the target interprets (typically a dispatch kind and an
-// index or count). The zero value is "no completion"; schedulers and
-// senders treat it as an absent callback.
+// token, Gen pins it to the target's current incarnation, and Kind is a
+// payload the target interprets (typically a dispatch kind). The zero
+// value is "no completion"; schedulers and senders treat it as an
+// absent callback.
 type Completion struct {
 	Target CompletionTarget
 	Gen    uint64
 	Kind   uint8
-	Arg    int64
 }
 
 // Valid reports whether the completion names a target.
@@ -50,20 +49,6 @@ func (c Completion) Invoke(now Time) {
 	if c.Target != nil {
 		c.Target.Complete(c, now)
 	}
-}
-
-// CompletionFunc adapts a plain function to CompletionTarget for
-// contexts where an allocation per callback is acceptable — tests and
-// rare control-path messages. Hot paths should implement
-// CompletionTarget on a pooled record instead.
-type CompletionFunc func(now Time)
-
-// Complete invokes the function.
-func (f CompletionFunc) Complete(_ Completion, now Time) { f(now) }
-
-// Callback wraps fn as a Completion (allocating the closure as usual).
-func Callback(fn func(now Time)) Completion {
-	return Completion{Target: CompletionFunc(fn)}
 }
 
 // Arena is a deterministic LIFO free list for per-engine record types:

@@ -22,24 +22,24 @@ func (r *recordTarget) Complete(c Completion, now Time) {
 	r.at = append(r.at, now)
 }
 
-// TestCompletionFiresWithKindArg pins the token round trip: kind and arg
-// travel through the event queue unchanged, and the token fires at its
-// scheduled time in FIFO order with callback events.
-func TestCompletionFiresWithKindArg(t *testing.T) {
+// TestCompletionFiresWithKindGen pins the token round trip: kind and
+// generation travel through the event queue unchanged, and the token
+// fires at its scheduled time.
+func TestCompletionFiresWithKindGen(t *testing.T) {
 	e := NewEngine()
 	defer e.Close()
 	r := &recordTarget{gen: 7}
-	e.AtCompletion(Time(3*time.Microsecond), Completion{Target: r, Gen: 7, Kind: 2, Arg: 41})
-	e.AtCompletion(Time(1*time.Microsecond), Completion{Target: r, Gen: 7, Kind: 9, Arg: -5})
+	e.AtCompletion(Time(3*time.Microsecond), Completion{Target: r, Gen: 7, Kind: 2})
+	e.AtCompletion(Time(1*time.Microsecond), Completion{Target: r, Gen: 7, Kind: 9})
 	e.Run()
 	if len(r.fired) != 2 {
 		t.Fatalf("fired %d completions, want 2", len(r.fired))
 	}
-	if r.fired[0].Kind != 9 || r.fired[0].Arg != -5 || r.at[0] != Time(1*time.Microsecond) {
-		t.Fatalf("first completion = kind %d arg %d at %v", r.fired[0].Kind, r.fired[0].Arg, r.at[0])
+	if r.fired[0].Kind != 9 || r.fired[0].Gen != 7 || r.at[0] != Time(1*time.Microsecond) {
+		t.Fatalf("first completion = kind %d gen %d at %v", r.fired[0].Kind, r.fired[0].Gen, r.at[0])
 	}
-	if r.fired[1].Kind != 2 || r.fired[1].Arg != 41 || r.at[1] != Time(3*time.Microsecond) {
-		t.Fatalf("second completion = kind %d arg %d at %v", r.fired[1].Kind, r.fired[1].Arg, r.at[1])
+	if r.fired[1].Kind != 2 || r.fired[1].Gen != 7 || r.at[1] != Time(3*time.Microsecond) {
+		t.Fatalf("second completion = kind %d gen %d at %v", r.fired[1].Kind, r.fired[1].Gen, r.at[1])
 	}
 }
 
@@ -199,17 +199,5 @@ func TestWaitGroupCompletionReleasesWaiter(t *testing.T) {
 	e.Run()
 	if wokeAt != Time(4*time.Microsecond) {
 		t.Fatalf("waiter woke at %v, want 4µs", wokeAt)
-	}
-}
-
-// TestCallbackAdapter: the closure adapter still works for cold paths.
-func TestCallbackAdapter(t *testing.T) {
-	e := NewEngine()
-	defer e.Close()
-	var got Time
-	e.AtCompletion(Time(2*time.Microsecond), Callback(func(now Time) { got = now }))
-	e.Run()
-	if got != Time(2*time.Microsecond) {
-		t.Fatalf("callback fired at %v, want 2µs", got)
 	}
 }

@@ -57,11 +57,11 @@ func (t Time) String() string { return time.Duration(t).String() }
 // message delivery, DMA deposit and the like are tokens whose targets
 // are pooled records (see completion.go). Tokens carry no closure, which
 // is what lets sleeps, wakes, spawns, and message completions run
-// allocation-free.
+// allocation-free. Events at the same instant fire in push order, which
+// the queue keeps without a sequence number (see queue.go).
 type event struct {
-	t   Time
-	seq int64 // FIFO tie-break for events at the same instant
-	c   Completion
+	t Time
+	c Completion
 }
 
 // Engine is a discrete-event simulator instance.
@@ -79,7 +79,6 @@ type event struct {
 type Engine struct {
 	now     Time
 	queue   eventQueue
-	seq     int64
 	xfer    *Proc   // proc to hand the token to after the current event
 	cur     *Proc   // proc currently executing (nil in event context)
 	until   Time    // run limit of the current Run/RunUntil
@@ -128,8 +127,7 @@ func (e *Engine) AtCompletion(t Time, c Completion) {
 	if t < e.now {
 		e.pastPanic(t, c)
 	}
-	e.seq++
-	e.queue.push(event{t: t, seq: e.seq, c: c})
+	e.queue.push(event{t: t, c: c})
 }
 
 // pastPanic reports a token scheduled before now: both times, the

@@ -7,10 +7,18 @@ import (
 	"time"
 )
 
-// callAt schedules fn at absolute time t through the Callback adapter: the
-// tests' stand-in for a one-off timed callback.
+// funcTarget adapts a plain function to CompletionTarget, allocating the
+// closure as usual: the tests' stand-in for a one-off callback.
+type funcTarget func(now Time)
+
+func (f funcTarget) Complete(_ Completion, now Time) { f(now) }
+
+// callback wraps fn as a Completion.
+func callback(fn func(now Time)) Completion { return Completion{Target: funcTarget(fn)} }
+
+// callAt schedules fn at absolute time t through callback.
 func callAt(e *Engine, t Time, fn func()) {
-	e.AtCompletion(t, Callback(func(Time) { fn() }))
+	e.AtCompletion(t, callback(func(Time) { fn() }))
 }
 
 func TestEngineStartsAtZero(t *testing.T) {

@@ -91,7 +91,7 @@ func TestMailboxMultipleWaitersFIFO(t *testing.T) {
 	for _, n := range []string{"a", "b"} {
 		n := n
 		var c Completion
-		c = Callback(func(Time) {
+		c = callback(func(Time) {
 			if v, ok := mb.Recv(c); ok {
 				got = append(got, n+"="+string(rune('0'+v.(int))))
 			}

@@ -8,16 +8,16 @@ import (
 
 // eventQueue is the engine's pending-event set: a radix heap on virtual
 // time (a monotone priority queue; Ahuja, Mehlhorn, Orlin & Tarjan,
-// J. ACM 1990), ordered by (t, seq) — virtual time first, then insertion
-// sequence, so events scheduled for the same instant fire in FIFO order.
-// (t, seq) is a strict total order, so the firing sequence is a pure
-// function of the pushes.
+// J. ACM 1990), ordered by (t, push order) — virtual time first, then
+// the order of the pushes, so events scheduled for the same instant fire
+// in FIFO order. That is a strict total order, so the firing sequence is
+// a pure function of the pushes.
 //
 // Why a radix heap: simulated time never runs backwards (AtCompletion
 // rejects t < Now), which is exactly the monotone condition the structure
 // needs. A push is one append and a pop is usually one append-order read,
-// where a binary heap sifts log2(n) levels of 56-byte records comparing
-// (t, seq) at each; with the tens of thousands of pending events of a
+// where a binary heap sifts log2(n) levels of records comparing times at
+// each; with the tens of thousands of pending events of a
 // 64-node machine the heap's sift-down was the largest host cost
 // (PERF.md pass 16). A redistribution moves each event into a strictly
 // lower bucket, so an event moves at most once per bit of the span
@@ -34,10 +34,11 @@ import (
 // pop from bucket i > 0 takes the bucket's minimum as the new last and
 // redistributes the rest into the (empty) buckets below i.
 //
-// Order invariant: every bucket is in seq order. A push appends the
-// largest seq so far, and a redistribution walks its bucket in order
-// into buckets that are empty (all lie below the lowest non-empty one),
-// so ties at one instant fire in push order however they reached it.
+// Order invariant: every bucket is in push order. A push appends the
+// newest event, and a redistribution walks its bucket in order into
+// buckets that are empty (all lie below the lowest non-empty one), so
+// ties at one instant fire in push order however they reached it. No
+// event carries a sequence number: its position is its order.
 type eventQueue struct {
 	last Time
 	n    int       // pending events
@@ -53,8 +54,7 @@ type queueSet [64][]event
 
 func (q *eventQueue) len() int { return q.n }
 
-// push adds ev. ev.t must not precede the last popped time, and ev.seq
-// must exceed every seq pushed before.
+// push adds ev. ev.t must not precede the last popped time.
 func (q *eventQueue) push(ev event) {
 	if q.b == nil {
 		q.b = getQueueSet()
@@ -65,9 +65,10 @@ func (q *eventQueue) push(ev event) {
 	q.n++
 }
 
-// pop removes and returns the (t, seq)-minimum event if its time is at
-// most until. A minimum after until stays where it is and last does not
-// move, so events between now and until may still be pushed (RunUntil).
+// pop removes and returns the (t, push order)-minimum event if its time
+// is at most until. A minimum after until stays where it is and last does
+// not move, so events between now and until may still be pushed
+// (RunUntil).
 func (q *eventQueue) pop(until Time) (event, bool) {
 	if q.mask == 0 {
 		return event{}, false
@@ -90,7 +91,7 @@ func (q *eventQueue) pop(until Time) (event, bool) {
 		return ev, true
 	}
 	// The bucket's minimum: the first event at its earliest time, which
-	// is also the lowest seq at that time.
+	// is also the earliest pushed at that time.
 	m := 0
 	for j := 1; j < len(b); j++ {
 		if b[j].t < b[m].t {

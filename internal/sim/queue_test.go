@@ -9,12 +9,14 @@ import (
 	"unsafe"
 )
 
-// evLess is the reference (t, seq) order the queue must reproduce.
+// evLess is the reference (t, push order) order the queue must
+// reproduce. The queue never reads Completion.Gen, so the tests carry
+// each event's push index there.
 func evLess(a, b *event) bool {
 	if a.t != b.t {
 		return a.t < b.t
 	}
-	return a.seq < b.seq
+	return a.c.Gen < b.c.Gen
 }
 
 // popAny pops the minimum with no run limit; the queue must not be empty.
@@ -27,8 +29,8 @@ func popAny(t testing.TB, q *eventQueue) event {
 }
 
 // TestQueueEquivalenceRandom is the property that pins the queue to the
-// (t, seq) order: on randomized interleavings of pushes and pops — with
-// bursts, same-instant ties that exercise the FIFO seq tie-break, and gaps
+// (t, push order) order: on randomized interleavings of pushes and pops —
+// with bursts, same-instant ties that exercise the FIFO tie-break, and gaps
 // from zero to far future — every pop returns exactly the minimum of a
 // reference multiset re-sorted with sort.Slice after each push run.
 func TestQueueEquivalenceRandom(t *testing.T) {
@@ -37,7 +39,7 @@ func TestQueueEquivalenceRandom(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		var q eventQueue
 		var ref []event
-		var seq int64
+		var seq uint64
 		sorted := true
 		low := Time(0) // last popped time: pushes may not precede it
 		for op := 0; op < 3000; op++ {
@@ -53,7 +55,7 @@ func TestQueueEquivalenceRandom(t *testing.T) {
 				}
 				for i := 0; i < burst; i++ {
 					seq++
-					ev := event{t: low + Time(deltas[rng.Intn(len(deltas))]), seq: seq}
+					ev := event{t: low + Time(deltas[rng.Intn(len(deltas))]), c: Completion{Gen: seq}}
 					q.push(ev)
 					ref = append(ref, ev)
 				}
@@ -66,15 +68,15 @@ func TestQueueEquivalenceRandom(t *testing.T) {
 			}
 			got, want := popAny(t, &q), ref[0]
 			ref = ref[1:]
-			if got.t != want.t || got.seq != want.seq {
-				t.Fatalf("seed %d op %d: pop (%d,%d), want (%d,%d)", seed, op, got.t, got.seq, want.t, want.seq)
+			if got.t != want.t || got.c.Gen != want.c.Gen {
+				t.Fatalf("seed %d op %d: pop (%d,%d), want (%d,%d)", seed, op, got.t, got.c.Gen, want.t, want.c.Gen)
 			}
 			low = got.t
 		}
 		sort.Slice(ref, func(i, j int) bool { return evLess(&ref[i], &ref[j]) })
 		for i, want := range ref {
-			if got := popAny(t, &q); got.t != want.t || got.seq != want.seq {
-				t.Fatalf("seed %d drain %d: pop (%d,%d), want (%d,%d)", seed, i, got.t, got.seq, want.t, want.seq)
+			if got := popAny(t, &q); got.t != want.t || got.c.Gen != want.c.Gen {
+				t.Fatalf("seed %d drain %d: pop (%d,%d), want (%d,%d)", seed, i, got.t, got.c.Gen, want.t, want.c.Gen)
 			}
 		}
 		if _, ok := q.pop(math.MaxInt64); ok || q.len() != 0 {
@@ -90,11 +92,11 @@ func TestQueueSameInstantFIFO(t *testing.T) {
 	var q eventQueue
 	defer q.release()
 	for i := 1; i <= 100; i++ {
-		q.push(event{t: 42, seq: int64(i)})
+		q.push(event{t: 42, c: Completion{Gen: uint64(i)}})
 	}
 	for i := 1; i <= 100; i++ {
-		if ev := popAny(t, &q); ev.seq != int64(i) {
-			t.Fatalf("tie %d popped as seq %d", i, ev.seq)
+		if ev := popAny(t, &q); ev.c.Gen != uint64(i) {
+			t.Fatalf("tie %d popped as push %d", i, ev.c.Gen)
 		}
 	}
 }
@@ -103,17 +105,17 @@ func TestQueueSameInstantFIFO(t *testing.T) {
 // while the last popped time steps towards T, so they reach T's slot
 // by different routes — pushed far ahead and redistributed once or
 // twice, pushed into a bucket between, pushed straight into the
-// same-instant bucket — and must still pop in push (seq) order.
+// same-instant bucket — and must still pop in push order.
 func TestQueueSameInstantAcrossBuckets(t *testing.T) {
 	const T = 0b1100_0000 // 192
 	var q eventQueue
 	defer q.release()
-	var seq int64
+	var seq uint64
 	push := func(tt Time) {
 		seq++
-		q.push(event{t: tt, seq: seq})
+		q.push(event{t: tt, c: Completion{Gen: seq}})
 	}
-	var want []int64
+	var want []uint64
 	tie := func() { push(T); want = append(want, seq) }
 	tie()
 	tie()
@@ -125,14 +127,14 @@ func TestQueueSameInstantAcrossBuckets(t *testing.T) {
 	tie()
 	for steps := 0; steps < 3; steps++ { // pop 129, 176, 191
 		if ev := popAny(t, &q); ev.t >= T {
-			t.Fatalf("popped T before the earlier events (seq %d)", ev.seq)
+			t.Fatalf("popped T before the earlier events (push %d)", ev.c.Gen)
 		}
 		tie()
 	}
 	for i := 0; i < len(want); i++ {
 		ev := popAny(t, &q)
-		if ev.t != T || ev.seq != want[i] {
-			t.Fatalf("tie %d popped as (%d,%d), want (%d,%d)", i, ev.t, ev.seq, T, want[i])
+		if ev.t != T || ev.c.Gen != want[i] {
+			t.Fatalf("tie %d popped as (%d,%d), want (%d,%d)", i, ev.t, ev.c.Gen, T, want[i])
 		}
 		if i == 2 {
 			tie() // pushed at last == T, behind every earlier tie
@@ -150,15 +152,16 @@ func TestQueueShrinkAfterDrain(t *testing.T) {
 	var q eventQueue
 	defer q.release()
 	rng := rand.New(rand.NewSource(9))
-	c := Callback(func(Time) {})
+	c := callback(func(Time) {})
 	for i := 1; i <= 3000; i++ {
-		q.push(event{t: Time(rng.Int63n(1 << 30)), seq: int64(i), c: c})
+		c.Gen = uint64(i)
+		q.push(event{t: Time(rng.Int63n(1 << 30)), c: c})
 	}
 	prev := popAny(t, &q)
 	for q.len() > 0 {
 		ev := popAny(t, &q)
 		if evLess(&ev, &prev) {
-			t.Fatalf("popped (%d,%d) after (%d,%d)", ev.t, ev.seq, prev.t, prev.seq)
+			t.Fatalf("popped (%d,%d) after (%d,%d)", ev.t, ev.c.Gen, prev.t, prev.c.Gen)
 		}
 		prev = ev
 	}
@@ -286,16 +289,13 @@ func BenchmarkQueue(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
 			var q eventQueue
 			defer q.release()
-			var seq int64
 			for i := 0; i < size; i++ {
-				seq++
-				q.push(event{t: Time(rng.Int63n(1 << 20)), seq: seq})
+				q.push(event{t: Time(rng.Int63n(1 << 20))})
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				ev, _ := q.pop(math.MaxInt64)
-				seq++
-				q.push(event{t: ev.t + Time(rng.Int63n(1<<20)), seq: seq})
+				q.push(event{t: ev.t + Time(rng.Int63n(1<<20))})
 			}
 		})
 	}
@@ -304,15 +304,13 @@ func BenchmarkQueue(b *testing.B) {
 		rng := rand.New(rand.NewSource(1))
 		var q eventQueue
 		defer q.release()
-		var seq int64
 		var left [sources]int
 		issue := func(src int, now Time) {
 			t := now + Time(rng.Int63n(4000))
 			gap := Time(1000 + 50*src)
 			for k := 0; k < block; k++ {
-				seq++
 				t += gap
-				q.push(event{t: t, seq: seq, c: Completion{Arg: int64(src)}})
+				q.push(event{t: t, c: Completion{Gen: uint64(src)}})
 			}
 			left[src] = block
 		}
@@ -322,7 +320,7 @@ func BenchmarkQueue(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			ev, _ := q.pop(math.MaxInt64)
-			src := int(ev.c.Arg)
+			src := int(ev.c.Gen)
 			if left[src]--; left[src] == 0 {
 				issue(src, ev.t)
 			}
@@ -336,13 +334,13 @@ func BenchmarkQueue(b *testing.B) {
 func TestQueuePoolBounded(t *testing.T) {
 	var qs [queueSetsMax + 2]eventQueue
 	for i := range qs {
-		qs[i].push(event{t: 1, seq: 1})
+		qs[i].push(event{t: 1})
 	}
 	for i := range qs {
 		qs[i].release()
 	}
 	var big eventQueue
-	big.push(event{t: 1, seq: 1})
+	big.push(event{t: 1})
 	set := big.b
 	set[5] = make([]event, 0, queuePoolCap/int(unsafe.Sizeof(event{}))+1)
 	big.release()

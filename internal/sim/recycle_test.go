@@ -92,7 +92,7 @@ func TestRecycleChainSameCarrier(t *testing.T) {
 	defer e.Close()
 	count := 0
 	var body func(p *Proc)
-	respawn := Callback(func(Time) { e.Go("chain", body) })
+	respawn := callback(func(Time) { e.Go("chain", body) })
 	body = func(p *Proc) {
 		count++
 		if count < 500 {
@@ -265,7 +265,7 @@ func TestCarrierReuseAcrossEngines(t *testing.T) {
 		for i := 0; i < k; i++ {
 			e.Go("w", body)
 		}
-		e.AtCompletion(Time(2*time.Microsecond), Callback(func(Time) { gate.Broadcast() }))
+		e.AtCompletion(Time(2*time.Microsecond), callback(func(Time) { gate.Broadcast() }))
 		e.Run()
 		e.Close()
 	}

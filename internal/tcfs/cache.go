@@ -76,9 +76,6 @@ func newBlockCache(s *Server, frames, blockSize int) *blockCache {
 	return c
 }
 
-// lookup returns the buffer holding block, or nil.
-func (c *blockCache) lookup(block int) *buffer { return c.index[block] }
-
 // noteOccupancy traces the cache's occupied-frame count; called after
 // every install or eviction so the trace carries a step function of
 // buffer occupancy over time.

@@ -1,18 +1,18 @@
 package tcfs
 
 import (
-	"time"
-
 	"ddio/internal/cluster"
 	"ddio/internal/hpf"
 	"ddio/internal/pfs"
 	"ddio/internal/sim"
+	"ddio/internal/workload"
 )
 
-// Client drives the CP side of a whole-file transfer under traditional
-// caching: each CP walks its chunk list, splits chunks at block
-// boundaries, and keeps at most one request outstanding per disk (one
-// pump process per disk), as in the paper's §4.
+// Client drives the CP side of traditional caching: each CP makes its
+// file-system calls in order (its chunks of a collective transfer, or
+// its requests of a workload stream), splits each at block boundaries,
+// and keeps at most one request outstanding per disk, as in the paper's
+// Figure 1a.
 type Client struct {
 	m       *cluster.Machine
 	f       *pfs.File
@@ -103,102 +103,103 @@ func (c *Client) getHandler() *handler {
 // putReq recycles a released request record.
 func (c *Client) putReq(r *request) { c.reqs.Put(r) }
 
-// cpReq is one block-piece request to be issued.
-type cpReq struct {
-	block  int
-	disk   int
-	off, n int
-	memOff int64
-}
-
-// pieces splits one chunk into per-block requests (in file order): a
-// traditional file system must address each block's disk separately.
-func (c *Client) pieces(ch hpf.Chunk, base int64, out []cpReq) []cpReq {
-	bs := int64(c.f.BlockSize)
-	for off := ch.FileOff; off < ch.FileOff+ch.Len; {
-		b := int(off / bs)
-		pieceEnd := (int64(b) + 1) * bs
-		if end := ch.FileOff + ch.Len; pieceEnd > end {
-			pieceEnd = end
-		}
-		out = append(out, cpReq{
-			block:  b,
-			disk:   c.f.DiskOf(b),
-			off:    int(off - int64(b)*bs),
-			n:      int(pieceEnd - off),
-			memOff: base + ch.MemOff + (off - ch.FileOff),
-		})
-		off = pieceEnd
-	}
-	return out
-}
-
-// issue sends one ReadCP/WriteCP call's pieces, honoring Figure 1a's
-// flow control — "if our previous request to that disk is still
-// outstanding, wait for response" — then waits for all of them.
-func (c *Client) issue(p *sim.Proc, cpNode *cluster.Node, pieces []cpReq, write bool,
+// issue sends one call's pieces, split at block boundaries in file
+// order (a traditional file system must address each block's disk
+// separately), honoring Figure 1a's flow control: "if our previous
+// request to that disk is still outstanding, wait for response".
+// base is added to the call's memory offset.
+func (c *Client) issue(p *sim.Proc, cpNode *cluster.Node, rq workload.Req, base int64,
 	outstanding []*sim.WaitGroup) {
-	for _, rq := range pieces {
-		if prev := outstanding[rq.disk]; prev != nil {
+	bs := int64(c.f.BlockSize)
+	end := rq.FileOff + rq.Len
+	for off := rq.FileOff; off < end; {
+		b := int(off / bs)
+		n := min((int64(b)+1)*bs, end) - off
+		disk := c.f.DiskOf(b)
+		if prev := outstanding[disk]; prev != nil {
 			prev.Wait(p)
 			c.putWG(prev)
 		}
 		done := c.getWG()
-		outstanding[rq.disk] = done
+		outstanding[disk] = done
 		msg := c.getReq()
-		msg.write = write
-		msg.block = rq.block
-		msg.off = rq.off
-		msg.n = rq.n
-		msg.memOff = rq.memOff
+		msg.write = rq.Write
+		msg.block = b
+		msg.off = int(off - int64(b)*bs)
+		msg.n = int(n)
+		msg.memOff = base + rq.MemOff + (off - rq.FileOff)
 		msg.src = cpNode
 		msg.done = done
 		payload := 0
-		if write {
-			msg.data = append(msg.data[:0], cpNode.Mem[msg.memOff:msg.memOff+int64(rq.n)]...)
-			payload = rq.n
+		if rq.Write {
+			msg.data = append(msg.data[:0], cpNode.Mem[msg.memOff:msg.memOff+n]...)
+			payload = int(n)
 		}
-		c.m.Send(cpNode, c.servers[rq.disk%len(c.servers)].node, payload, c.prm.RequestSendCPU, msg)
-	}
-	for _, wg := range outstanding {
-		if wg != nil {
-			wg.Wait(p)
-			c.putWG(wg)
-		}
-	}
-	for i := range outstanding {
-		outstanding[i] = nil
+		c.m.Send(cpNode, c.servers[disk%len(c.servers)].node, payload, c.prm.RequestSendCPU, msg)
+		off += n
 	}
 }
 
-// TransferCP runs cp's side of the transfer: one file-system call per
-// contiguous chunk (or a single strided call when the extension is
-// enabled), then — on CP 0 — a sync of every IOP so that outstanding
-// write-behind and prefetch requests are included in the measured time,
-// as the paper requires.
-func (c *Client) TransferCP(p *sim.Proc, cp int, write bool) {
+// join waits for every outstanding reply.
+func (c *Client) join(p *sim.Proc, outstanding []*sim.WaitGroup) {
+	for i, wg := range outstanding {
+		if wg != nil {
+			wg.Wait(p)
+			c.putWG(wg)
+			outstanding[i] = nil
+		}
+	}
+}
+
+// run is the one CP body of every traditional-caching transfer, Figure
+// 1a's loop: after a barrier, cp makes n file-system calls, call(k)
+// being the k-th. Each call waits out its think time and its arrival
+// (At, from the start of the run), is issued piece by piece, and waits
+// for all of its replies — unless strided, where the calls form one
+// strided request whose replies are awaited once, after its last piece.
+// Then CP 0 syncs every IOP, so that outstanding write-behind and
+// prefetch are included in the measured time, as the paper requires.
+func (c *Client) run(p *sim.Proc, cp int, strided bool, n int, call func(k int) workload.Req) {
 	c.barrier.Wait(p)
 	cpNode := c.m.CPs[cp]
 	base := c.memBaseOf(cp)
+	start := p.Now()
 	outstanding := make([]*sim.WaitGroup, len(c.f.Disks))
-	if c.prm.StridedRequests {
-		// Extension: the whole access list goes down in one call, so
-		// requests to different disks pipeline across chunks.
-		var all []cpReq
-		for _, ch := range c.dec.Chunks(cp) {
-			all = c.pieces(ch, base, all)
+	for k := 0; k < n; k++ {
+		rq := call(k)
+		if rq.Think > 0 {
+			p.Sleep(rq.Think)
 		}
-		c.issue(p, cpNode, all, write, outstanding)
-	} else {
-		var buf []cpReq
-		for _, ch := range c.dec.Chunks(cp) {
-			buf = c.pieces(ch, base, buf[:0])
-			c.issue(p, cpNode, buf, write, outstanding)
+		if at := start + sim.Time(rq.At); rq.At > 0 && at > p.Now() {
+			p.SleepUntil(at)
+		}
+		c.issue(p, cpNode, rq, base, outstanding)
+		if !strided {
+			c.join(p, outstanding)
 		}
 	}
+	c.join(p, outstanding)
 	c.barrier.Wait(p)
 	c.sync(p, cp, cpNode)
 	c.barrier.Wait(p)
+}
+
+// TransferCP runs cp's side of the transfer: one file-system call per
+// contiguous chunk, or a single strided call when the extension is
+// enabled (requests to different disks then pipeline across chunks).
+func (c *Client) TransferCP(p *sim.Proc, cp int, write bool) {
+	chunks := c.dec.Chunks(cp)
+	c.run(p, cp, c.prm.StridedRequests, len(chunks), func(k int) workload.Req {
+		ch := &chunks[k]
+		return workload.Req{Write: write, FileOff: ch.FileOff, Len: ch.Len, MemOff: ch.MemOff}
+	})
+}
+
+// StreamCP runs cp's side of a workload phase: one call per request,
+// in order, honoring the stream's arrival process. Memory offsets are
+// relative to the client's memory base, as in TransferCP.
+func (c *Client) StreamCP(p *sim.Proc, cp int, reqs []workload.Req) {
+	c.run(p, cp, false, len(reqs), func(k int) workload.Req { return reqs[k] })
 }
 
 // sync has CP 0 flush every IOP so outstanding write-behind and prefetch
@@ -213,46 +214,4 @@ func (c *Client) sync(p *sim.Proc, cp int, cpNode *cluster.Node) {
 	}
 	sdone.Wait(p)
 	c.end = p.Now()
-}
-
-// StreamReq is one request of a workload stream: a contiguous file range
-// read into (or written from) an absolute memory offset, optionally
-// released into the system at an absolute arrival time (open workload)
-// or after a think pause (closed loop).
-type StreamReq struct {
-	Write   bool
-	FileOff int64
-	Len     int64
-	MemOff  int64 // absolute offset in the CP's memory
-	// At, when positive, is the request's arrival offset from the
-	// phase's start: the CP does not issue it earlier (open arrivals).
-	At time.Duration
-	// Think, when positive, is slept before issuing (closed loop).
-	Think time.Duration
-}
-
-// StreamCP runs cp's side of a workload phase under traditional caching:
-// each request is split at block boundaries and issued with the same
-// one-outstanding-per-disk flow control TransferCP uses, honoring the
-// stream's arrival process. The final sync mirrors TransferCP so
-// write-behind and prefetch are inside the measured time.
-func (c *Client) StreamCP(p *sim.Proc, cp int, reqs []StreamReq) {
-	c.barrier.Wait(p)
-	cpNode := c.m.CPs[cp]
-	start := p.Now()
-	outstanding := make([]*sim.WaitGroup, len(c.f.Disks))
-	var buf []cpReq
-	for _, rq := range reqs {
-		if rq.Think > 0 {
-			p.Sleep(rq.Think)
-		}
-		if at := start + sim.Time(rq.At); rq.At > 0 && at > p.Now() {
-			p.SleepUntil(at)
-		}
-		buf = c.pieces(hpf.Chunk{FileOff: rq.FileOff, MemOff: rq.MemOff, Len: rq.Len}, 0, buf[:0])
-		c.issue(p, cpNode, buf, rq.Write, outstanding)
-	}
-	c.barrier.Wait(p)
-	c.sync(p, cp, cpNode)
-	c.barrier.Wait(p)
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"ddio/internal/pfs"
+	"ddio/internal/workload"
 )
 
 // TestHandlerProcFallbacks runs one transfer for each cache call a
@@ -25,7 +26,7 @@ func TestHandlerProcFallbacks(t *testing.T) {
 		opts    rigOpts
 		pattern string // whole-file transfer, or "" for streams
 		record  int
-		streams [][]StreamReq
+		streams [][]workload.Req
 		events  int64
 		elapsed time.Duration
 	}{
@@ -37,7 +38,7 @@ func TestHandlerProcFallbacks(t *testing.T) {
 		{
 			name: "read waits for another fill",
 			opts: rigOpts{ncp: 3, niop: 1, ndisks: 1, blocks: 2, layout: pfs.Contiguous},
-			streams: [][]StreamReq{
+			streams: [][]workload.Req{
 				{{FileOff: 0, Len: bs, MemOff: 0}},
 				{{FileOff: 100, Len: 200, MemOff: 100}},
 				{{FileOff: 4000, Len: 10, MemOff: 4000, Think: 500 * time.Microsecond}},
@@ -47,7 +48,7 @@ func TestHandlerProcFallbacks(t *testing.T) {
 		{
 			name: "write waits for a flush",
 			opts: rigOpts{ncp: 2, niop: 1, ndisks: 1, blocks: 2, layout: pfs.Contiguous},
-			streams: [][]StreamReq{
+			streams: [][]workload.Req{
 				{{Write: true, FileOff: 0, Len: bs, MemOff: 0}},
 				{{Write: true, FileOff: 0, Len: 4096, MemOff: 0, Think: time.Millisecond}},
 			},
@@ -56,7 +57,7 @@ func TestHandlerProcFallbacks(t *testing.T) {
 		{
 			name: "read fills a written frame",
 			opts: rigOpts{ncp: 2, niop: 1, ndisks: 1, blocks: 2, layout: pfs.Contiguous},
-			streams: [][]StreamReq{
+			streams: [][]workload.Req{
 				{{Write: true, FileOff: 100, Len: 1000, MemOff: 100}},
 				{{FileOff: 0, Len: bs, MemOff: 0, Think: time.Millisecond}},
 			},

@@ -12,6 +12,7 @@ import (
 	"ddio/internal/netsim"
 	"ddio/internal/pfs"
 	"ddio/internal/sim"
+	"ddio/internal/workload"
 )
 
 // rig is a small machine + file + traditional-caching file system.
@@ -95,12 +96,12 @@ func (r *rig) transfer(t *testing.T, dec *hpf.Decomp, write bool, prm Params) ti
 // end issue nothing), with each request's memory filled from the file
 // image (for writes) or the file preloaded (for reads), and returns the
 // elapsed virtual time.
-func (r *rig) stream(t *testing.T, streams [][]StreamReq) time.Duration {
+func (r *rig) stream(t *testing.T, streams [][]workload.Req) time.Duration {
 	t.Helper()
 	client := NewClient(r.m, r.f, nil, r.servers, DefaultParams())
 	r.f.Preload()
 	for cp, node := range r.m.CPs {
-		var reqs []StreamReq
+		var reqs []workload.Req
 		if cp < len(streams) {
 			reqs = streams[cp]
 		}

@@ -53,9 +53,6 @@ func NewSlotAccess(slots []Slot, ncp int) *SlotAccess {
 // NCP returns the CP count the access was built over.
 func (a *SlotAccess) NCP() int { return len(a.perCP) }
 
-// Slots returns cp's slots sorted by (FileOff, MemOff).
-func (a *SlotAccess) Slots(cp int) []Slot { return a.perCP[cp] }
-
 // Bytes returns the total bytes the access moves (slot lengths summed;
 // overlapping slots each count — each is a separate transfer).
 func (a *SlotAccess) Bytes() int64 {

@@ -20,8 +20,8 @@ func TestSlotAccessBasics(t *testing.T) {
 		t.Errorf("Bytes = %d, want 100", got)
 	}
 	// Per-CP slots sort by file offset regardless of input order.
-	if s := a.Slots(0); s[0].FileOff != 0 || s[1].FileOff != 200 {
-		t.Errorf("CP0 slots unsorted: %+v", s)
+	if s := a.Chunks(0); s[0].FileOff != 0 || s[1].FileOff != 200 {
+		t.Errorf("CP0 chunks unsorted: %+v", s)
 	}
 	if got := a.CPBytes(0); got != 60 {
 		t.Errorf("CPBytes(0) = %d, want 60", got)
@@ -128,7 +128,7 @@ func TestConforming(t *testing.T) {
 			t.Errorf("CP%d staging bytes = %d, want 50", cp, got)
 		}
 		var mem int64
-		for _, s := range conf.Slots(cp) {
+		for _, s := range conf.Chunks(cp) {
 			if s.MemOff != mem {
 				t.Errorf("CP%d staging not cumulative: slot %+v at mem %d", cp, s, mem)
 			}
